@@ -71,12 +71,13 @@ pub fn sweep() -> Vec<CapacityPoint> {
     sweep_jobs(1)
 }
 
-/// [`sweep`] with capacity points evaluated across `jobs` workers. The
-/// result is byte-identical for any worker count; each point's two eDRAM
+/// [`sweep`] with capacity points evaluated across `jobs` workers (the
+/// supervised twin under a default [`Supervisor`]). The result is
+/// byte-identical for any worker count; each point's two eDRAM
 /// characterizations are served from [`ppatc_edram::EdramMacro`]'s memo
 /// cache after the first request for that `(technology, organization)`.
 pub fn sweep_jobs(jobs: usize) -> Vec<CapacityPoint> {
-    ppatc::eval::par_map_indexed(CAPACITIES_KB.len(), jobs, capacity_point)
+    try_sweep_supervised(jobs, &Supervisor::new()).expect("every capacity point evaluates")
 }
 
 /// [`sweep_jobs`] under a [`Supervisor`]: honors the supervisor's
@@ -108,14 +109,14 @@ pub fn try_sweep_supervised(
         ],
     );
     let journal = supervisor.try_open_journal(&spec)?;
-    let outcomes = ppatc::eval::try_par_map_journaled(
+    ppatc::eval::par_map_chunks_journaled(
         CAPACITIES_KB.len(),
         jobs,
         supervisor.budget(),
         journal.as_ref(),
-        capacity_point,
-    )?;
-    outcomes.into_iter().collect()
+        |start, end| (start..end).map(capacity_point).collect(),
+    )?
+    .try_complete()
 }
 
 /// Evaluates the `k`-th capacity point — a pure function of `k` (the

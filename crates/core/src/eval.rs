@@ -10,34 +10,43 @@
 //! - each work item is a pure function of its index (Monte-Carlo samples
 //!   draw from counter-indexed [`SplitMix64::stream`]s, grid points from
 //!   their coordinates), so no draw-order coupling exists to begin with;
-//! - workers steal fixed-size *chunks* of the index range and return
-//!   `(start, results)` runs, which are merged back into index order before
-//!   any reduction — so sorts, sums, and quantiles see exactly the serial
-//!   operand order.
+//! - workers steal fixed-size *chunks* of the index range, evaluate each
+//!   chunk in one `f(start, end)` call, and the chunks are merged back
+//!   into index order before any reduction — so sorts, sums, and
+//!   quantiles see exactly the serial operand order.
 //!
-//! The engine is dependency-free: work stealing is one `AtomicUsize`, the
-//! merge is a sort by chunk start.
+//! The engine is dependency-free: work stealing is one `AtomicUsize`, and
+//! finished chunks are merged into index order as they arrive.
 //!
-//! # Supervision
+//! # One supervised engine
 //!
-//! [`try_par_map_indexed`] is the supervised variant: a [`RunBudget`]
-//! (cooperative [`CancelToken`] + polled wall-clock deadline) is checked at
-//! every chunk boundary, a panicking item is caught at the item boundary
-//! and returned as [`PpatcError::WorkerPanic`] instead of unwinding the
-//! scope, and an interrupted run returns
-//! [`PpatcError::Interrupted`] carrying the completed-index set instead of
-//! discarding partial work. [`try_par_map_journaled`] additionally streams
-//! completed chunks to a crash-safe [`Journal`](crate::checkpoint::Journal)
-//! and replays journaled items on resume — byte-identical to an
-//! uninterrupted run because every item is a pure function of its index.
+//! [`par_map_chunks`] and [`par_map_chunks_journaled`] are the only map
+//! functions; every sweep calls one of them, and each module's
+//! unsupervised `_jobs` function is its supervised twin under an unlimited
+//! budget. Each run:
+//!
+//! - polls a [`RunBudget`] (cooperative [`CancelToken`] + wall-clock
+//!   deadline) before claiming each chunk; a stopped run returns
+//!   [`PpatcError::Interrupted`] carrying the completed-index set instead
+//!   of discarding partial work;
+//! - runs each chunk under one `catch_unwind`, and only after a panic (or
+//!   a wrong-size return) re-runs it as `f(i, i + 1)` per index, so the
+//!   failing index is pinned exactly and listed in [`Mapped::panicked`]
+//!   while its siblings keep their values;
+//! - with a [`Journal`], replays journaled items instead of recomputing
+//!   them and streams every chunk that computed something to the journal
+//!   — byte-identical to an uninterrupted run because every item is a pure
+//!   function of its index.
 //!
 //! [`SplitMix64::stream`]: ppatc_units::rng::SplitMix64::stream
 
 use crate::checkpoint::{Checkpointable, Journal, JournalSpec};
 use crate::error::{InterruptReason, PpatcError};
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Smallest number of items a worker claims at once. Large enough that the
@@ -46,124 +55,13 @@ use std::time::{Duration, Instant};
 const MIN_CHUNK: usize = 1;
 
 /// Upper bound on the chunk size, keeping late-arriving workers from
-/// starving on very large index spaces.
+/// starving on very large index spaces and batch buffers cache-sized.
 const MAX_CHUNK: usize = 1024;
 
 /// The default worker count: one per available core (1 when parallelism
 /// cannot be queried).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Evaluates `f(i)` for every `i in 0..n` across `jobs` workers and returns
-/// the results **in index order** — byte-identical to
-/// `(0..n).map(f).collect()` for every worker count.
-///
-/// `jobs` is clamped to `[1, n]`; `jobs <= 1` runs inline without spawning
-/// threads. Chunked work stealing keeps workers busy even when per-item
-/// cost varies (a design point that fails timing returns much faster than
-/// one that characterizes a memory macro).
-pub fn par_map_indexed<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs <= 1 {
-        return (0..n).map(f).collect();
-    }
-    // Aim for several chunks per worker so the tail balances.
-    let chunk = (n / (jobs * 8)).clamp(MIN_CHUNK, MAX_CHUNK);
-    let next = AtomicUsize::new(0);
-    let runs: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, Vec<T>)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    local.push((start, (start..end).map(&f).collect()));
-                }
-                if let Ok(mut all) = runs.lock() {
-                    all.append(&mut local);
-                }
-            });
-        }
-    });
-    let mut all = match runs.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    all.sort_by_key(|(start, _)| *start);
-    all.into_iter().flat_map(|(_, run)| run).collect()
-}
-
-/// Batched [`par_map_indexed`]: instead of one call per index, `f(start,
-/// end)` evaluates the half-open index range `[start, end)` in one pass and
-/// returns exactly `end - start` results.
-///
-/// **Contract:** `f(start, end)` must be bit-identical to
-/// `(start..end).map(per_index).collect()` for the per-index function it
-/// batches — chunk boundaries differ between worker counts, so any
-/// cross-item coupling inside a batch would break the engine's
-/// byte-identical-for-any-worker-count guarantee. Batch implementations
-/// may hoist work that is constant across items (the hoisted values are
-/// the same ones a per-index evaluation would recompute), but must not
-/// reassociate per-item arithmetic.
-///
-/// `jobs <= 1` runs inline, feeding `f` ranges of at most [`MAX_CHUNK`]
-/// items so batch buffers stay cache-sized.
-pub fn par_map_indexed_batched<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> Vec<T> + Sync,
-{
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs <= 1 {
-        let mut out: Vec<T> = Vec::with_capacity(n);
-        let mut start = 0;
-        while start < n {
-            let end = (start + MAX_CHUNK).min(n);
-            let run = f(start, end);
-            debug_assert_eq!(run.len(), end - start, "batch returned a wrong-size run");
-            out.extend(run);
-            start = end;
-        }
-        return out;
-    }
-    let chunk = (n / (jobs * 8)).clamp(MIN_CHUNK, MAX_CHUNK);
-    let next = AtomicUsize::new(0);
-    let runs: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, Vec<T>)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    let run = f(start, end);
-                    debug_assert_eq!(run.len(), end - start, "batch returned a wrong-size run");
-                    local.push((start, run));
-                }
-                if let Ok(mut all) = runs.lock() {
-                    all.append(&mut local);
-                }
-            });
-        }
-    });
-    let mut all = match runs.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    all.sort_by_key(|(start, _)| *start);
-    all.into_iter().flat_map(|(_, run)| run).collect()
 }
 
 /// A cooperative cancellation handle: clone it, hand one clone to a
@@ -324,51 +222,155 @@ impl Supervisor {
     }
 }
 
-/// Locks a mutex, recovering the guard from a poisoned lock (a worker that
-/// panicked between the item boundary and the push cannot corrupt a
-/// `Vec`/`Option` in a way we care about — partial chunks are re-run).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+/// The outcome of one completed engine run.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Mapped<T> {
+    /// The value of every item that completed, in index order. Panicked
+    /// items have no entry, so `values.len() + panicked.len()` is the
+    /// run's item count.
+    pub values: Vec<T>,
+    /// Ascending indices of the items whose evaluation panicked, or whose
+    /// `f(i, i + 1)` call returned other than exactly one value.
+    pub panicked: Vec<usize>,
 }
 
-/// Whether a shared `Option` slot has been set.
-fn slot_is_set<T>(slot: &Mutex<Option<T>>) -> bool {
-    lock_unpoisoned(slot).is_some()
-}
-
-/// First-writer-wins store into a shared `Option` slot.
-fn set_slot_once<T>(slot: &Mutex<Option<T>>, value: T) {
-    let mut guard = lock_unpoisoned(slot);
-    if guard.is_none() {
-        *guard = Some(value);
-    }
-}
-
-/// Coalesces index-sorted disjoint `(start, run)` chunks into sorted,
-/// disjoint half-open `[start, end)` runs for
-/// [`PpatcError::Interrupted::completed`].
-fn coalesce_completed<T>(runs: &[(usize, Vec<T>)]) -> Vec<(usize, usize)> {
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    for (start, run) in runs {
-        let end = start + run.len();
-        match spans.last_mut() {
-            Some(last) if last.1 == *start => last.1 = end,
-            _ => spans.push((*start, end)),
+impl<T> Mapped<T> {
+    /// The values of a run in which every item must succeed (a partial
+    /// grid or ranking would silently misreport).
+    ///
+    /// # Errors
+    ///
+    /// [`PpatcError::WorkerPanic`] naming the lowest panicked index.
+    #[must_use = "this returns a Result that must be handled"]
+    pub fn try_complete(self) -> Result<Vec<T>, PpatcError> {
+        match self.panicked.first() {
+            Some(&index) => Err(PpatcError::WorkerPanic { index }),
+            None => Ok(self.values),
         }
     }
-    spans
 }
 
-/// How journaled items enter and leave one supervised run. `NoJournal` is
-/// the zero-cost stub for unjournaled runs.
+/// Evaluates items `0..n` across `jobs` workers under `budget`, one chunk
+/// `[start, end)` per `f(start, end)` call, and returns them in index
+/// order.
+///
+/// **Contract:** `f(start, end)` returns exactly `end - start` values and
+/// is bit-identical to `(start..end).map(per_index).collect()` for the
+/// per-index function it batches — chunk boundaries differ between worker
+/// counts, so any cross-item coupling inside a chunk would break the
+/// byte-identical-for-any-worker-count guarantee. A chunk may hoist work
+/// that is constant across items (the hoisted values are the same ones a
+/// per-index evaluation would recompute), but must not reassociate
+/// per-item arithmetic.
+///
+/// `jobs` is clamped to `[1, n]`; `jobs <= 1` runs inline without
+/// spawning threads. A panicking item is caught and listed in
+/// [`Mapped::panicked`]; its siblings are unaffected.
+///
+/// # Errors
+///
+/// [`PpatcError::Interrupted`] when the budget stops the run.
+#[must_use = "this returns a Result that must be handled"]
+pub fn par_map_chunks<T, F>(
+    n: usize,
+    jobs: usize,
+    budget: &RunBudget,
+    f: F,
+) -> Result<Mapped<T>, PpatcError>
+where
+    T: Send,
+    F: Fn(usize, usize) -> Vec<T> + Sync,
+{
+    run_engine(n, jobs, budget, &NoJournal, f)
+}
+
+/// [`par_map_chunks`] with crash-safe checkpointing: every chunk that
+/// computed something streams to `journal` (when given), and items already
+/// journaled are replayed instead of recomputed — including items
+/// journaled as deterministic panics. Pass `None` to run unjournaled.
+///
+/// # Errors
+///
+/// [`PpatcError::Interrupted`] when the budget stops the run (chunks
+/// completed before the interrupt *are* journaled, so a resumed run skips
+/// them), [`PpatcError::Checkpoint`] when the journal cannot be written or
+/// does not match the run.
+#[must_use = "this returns a Result that must be handled"]
+pub fn par_map_chunks_journaled<T, F>(
+    n: usize,
+    jobs: usize,
+    budget: &RunBudget,
+    journal: Option<&Journal>,
+    f: F,
+) -> Result<Mapped<T>, PpatcError>
+where
+    T: Send + Checkpointable,
+    F: Fn(usize, usize) -> Vec<T> + Sync,
+{
+    match journal {
+        None => run_engine(n, jobs, budget, &NoJournal, f),
+        Some(journal) => {
+            journal.require_run::<T>(n)?;
+            run_engine(n, jobs, budget, &WithJournal(journal), f)
+        }
+    }
+}
+
+/// The state one run's workers share: finished chunks merged back into
+/// index order as they arrive, and why the run stopped early, if it did.
+/// Merging as chunks arrive keeps one output buffer plus a few in-flight
+/// chunks alive, instead of every chunk until the run ends.
+struct Merge<T> {
+    /// Every item before `merged`, in index order.
+    out: Mapped<T>,
+    merged: usize,
+    /// Chunks that finished ahead of `merged`: start → (end, chunk).
+    pending: BTreeMap<usize, (usize, Mapped<T>)>,
+    interrupt: Option<InterruptReason>,
+    /// A journal fault; it outranks an interrupt, since the caller asked
+    /// for a checkpoint it is not getting.
+    fault: Option<PpatcError>,
+}
+
+impl<T> Merge<T> {
+    fn halted(&self) -> bool {
+        self.interrupt.is_some() || self.fault.is_some()
+    }
+
+    /// Files chunk `start..end` and merges every chunk now contiguous with
+    /// the output.
+    fn push(&mut self, start: usize, end: usize, chunk: Mapped<T>) {
+        self.pending.insert(start, (end, chunk));
+        while let Some((end, chunk)) = self.pending.remove(&self.merged) {
+            self.out.values.extend(chunk.values);
+            self.out.panicked.extend(chunk.panicked);
+            self.merged = end;
+        }
+    }
+
+    /// The sorted, disjoint, maximal `[start, end)` runs of finished items
+    /// for [`PpatcError::Interrupted::completed`].
+    fn completed(&self) -> Vec<(usize, usize)> {
+        let spans = std::iter::once((0, self.merged))
+            .chain(self.pending.iter().map(|(&start, &(end, _))| (start, end)));
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for (start, end) in spans.filter(|&(start, end)| end > start) {
+            match runs.last_mut() {
+                Some(last) if last.1 == start => last.1 = end,
+                _ => runs.push((start, end)),
+            }
+        }
+        runs
+    }
+}
+
+/// How journaled items enter and leave one run. `NoJournal` is the
+/// zero-cost stub for unjournaled runs.
 trait JournalHooks<T>: Sync {
-    /// A previously journaled value for item `i`, if any.
+    /// A previously journaled outcome for item `i`, if any.
     fn preloaded(&self, i: usize) -> Option<Result<T, PpatcError>>;
-    /// Persists one completed chunk.
-    fn append(&self, start: usize, run: &[Result<T, PpatcError>]) -> Result<(), PpatcError>;
+    /// Persists chunk `start..` from its values and panicked indices.
+    fn append(&self, start: usize, chunk: &Mapped<T>) -> Result<(), PpatcError>;
 }
 
 struct NoJournal;
@@ -378,7 +380,7 @@ impl<T> JournalHooks<T> for NoJournal {
         None
     }
 
-    fn append(&self, _start: usize, _run: &[Result<T, PpatcError>]) -> Result<(), PpatcError> {
+    fn append(&self, _start: usize, _chunk: &Mapped<T>) -> Result<(), PpatcError> {
         Ok(())
     }
 }
@@ -390,346 +392,158 @@ impl<T: Checkpointable> JournalHooks<T> for WithJournal<'_> {
         self.0.preloaded_item(i)
     }
 
-    fn append(&self, start: usize, run: &[Result<T, PpatcError>]) -> Result<(), PpatcError> {
-        self.0.append_chunk(start, run)
+    fn append(&self, start: usize, chunk: &Mapped<T>) -> Result<(), PpatcError> {
+        let end = start + chunk.values.len() + chunk.panicked.len();
+        let mut values = chunk.values.iter();
+        let mut panicked = chunk.panicked.iter().peekable();
+        let items = (start..end).map(|i| match panicked.next_if_eq(&&i) {
+            Some(_) => None,
+            None => values.next(),
+        });
+        self.0.append_chunk(start, items)
     }
 }
 
-/// The shared supervised engine: chunked work stealing exactly like
-/// [`par_map_indexed`], plus budget polls at chunk boundaries, per-item
-/// `catch_unwind`, and journal preload/append hooks.
-fn supervised_map<T, F, J>(
+/// Locks a mutex, recovering the guard from a poisoned lock: no user code
+/// runs while the engine holds one, so the data is always coherent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The engine body behind both map functions: chunked work stealing,
+/// budget polls at chunk boundaries, and journal replay/append hooks.
+fn run_engine<T, F, J>(
     n: usize,
     jobs: usize,
     budget: &RunBudget,
     journal: &J,
     f: F,
-) -> Result<Vec<Result<T, PpatcError>>, PpatcError>
+) -> Result<Mapped<T>, PpatcError>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize, usize) -> Vec<T> + Sync,
     J: JournalHooks<T>,
 {
-    type ChunkRuns<T> = Vec<(usize, Vec<Result<T, PpatcError>>)>;
     let jobs = jobs.max(1).min(n.max(1));
-    let chunk = (n / (jobs * 8).max(1)).clamp(MIN_CHUNK, MAX_CHUNK);
+    // Aim for several chunks per worker so the tail balances.
+    let size = (n / (jobs * 8).max(1)).clamp(MIN_CHUNK, MAX_CHUNK);
     let next = AtomicUsize::new(0);
-    let runs: Mutex<ChunkRuns<T>> = Mutex::new(Vec::new());
-    let interrupted: Mutex<Option<InterruptReason>> = Mutex::new(None);
-    let fault: Mutex<Option<PpatcError>> = Mutex::new(None);
+    let merge = Mutex::new(Merge {
+        out: Mapped {
+            values: Vec::with_capacity(n),
+            panicked: Vec::new(),
+        },
+        merged: 0,
+        pending: BTreeMap::new(),
+        interrupt: None,
+        fault: None,
+    });
 
-    let worker = || {
-        let mut local: ChunkRuns<T> = Vec::new();
-        loop {
-            if slot_is_set(&interrupted) || slot_is_set(&fault) {
-                break;
+    let worker = || loop {
+        if lock(&merge).halted() {
+            break;
+        }
+        if let Err(reason) = budget.check() {
+            lock(&merge).interrupt.get_or_insert(reason);
+            break;
+        }
+        let start = next.fetch_add(size, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        let end = (start + size).min(n);
+        let (chunk, fresh) = eval_chunk(&f, journal, start, end);
+        if let Err(e) = fresh.then(|| journal.append(start, &chunk)).transpose() {
+            // The chunk is still good in memory; let siblings wind down
+            // cooperatively.
+            lock(&merge).fault.get_or_insert(e);
+        }
+        lock(&merge).push(start, end, chunk);
+    };
+    if jobs == 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(worker);
             }
-            if let Err(reason) = budget.check() {
-                set_slot_once(&interrupted, reason);
-                break;
+        });
+    }
+
+    let merge = merge.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if let Some(e) = merge.fault {
+        return Err(e);
+    }
+    if let Some(reason) = merge.interrupt {
+        return Err(PpatcError::Interrupted {
+            reason,
+            completed: merge.completed(),
+            total: n,
+        });
+    }
+    Ok(merge.out)
+}
+
+/// Evaluates items `start..end`: journaled items are replayed, and each
+/// maximal run of fresh items is one `f` call. Returns the chunk and
+/// whether anything in it was computed fresh.
+fn eval_chunk<T, F, J>(f: &F, journal: &J, start: usize, end: usize) -> (Mapped<T>, bool)
+where
+    F: Fn(usize, usize) -> Vec<T>,
+    J: JournalHooks<T>,
+{
+    let mut chunk = Mapped {
+        values: Vec::new(),
+        panicked: Vec::new(),
+    };
+    let mut fresh = false;
+    let mut i = start;
+    while i < end {
+        match journal.preloaded(i) {
+            Some(Ok(v)) => chunk.values.push(v),
+            Some(Err(_)) => chunk.panicked.push(i),
+            None => {
+                let stop = (i + 1..end)
+                    .find(|&j| journal.preloaded(j).is_some())
+                    .unwrap_or(end);
+                eval_fresh(f, i, stop, &mut chunk);
+                fresh = true;
+                i = stop;
+                continue;
             }
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            let mut run: Vec<Result<T, PpatcError>> = Vec::with_capacity(end - start);
-            let mut any_fresh = false;
+        }
+        i += 1;
+    }
+    (chunk, fresh)
+}
+
+/// Evaluates fresh items `start..end` in one call, appending them to
+/// `chunk`. A call that panics or returns the wrong number of values
+/// cannot say which item is at fault, so the range is re-run one index at
+/// a time and each failing index lands in `chunk.panicked`.
+fn eval_fresh<T, F>(f: &F, start: usize, end: usize, chunk: &mut Mapped<T>)
+where
+    F: Fn(usize, usize) -> Vec<T>,
+{
+    // Each item is a pure function of its index over read-only inputs, so
+    // no broken invariant can leak across the unwind boundary:
+    // AssertUnwindSafe is sound here.
+    let call = |s: usize, e: usize| {
+        catch_unwind(AssertUnwindSafe(|| f(s, e)))
+            .ok()
+            .filter(|values| values.len() == e - s)
+    };
+    match call(start, end) {
+        Some(values) if chunk.values.is_empty() => chunk.values = values,
+        Some(values) => chunk.values.extend(values),
+        None if end - start == 1 => chunk.panicked.push(start),
+        None => {
             for i in start..end {
-                match journal.preloaded(i) {
-                    Some(item) => run.push(item),
-                    None => {
-                        any_fresh = true;
-                        // Each item is a pure function of its index over
-                        // read-only inputs, so no broken invariant can leak
-                        // across the unwind boundary: AssertUnwindSafe is
-                        // sound here.
-                        run.push(
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)))
-                                .map_err(|_| PpatcError::WorkerPanic { index: i }),
-                        );
-                    }
+                match call(i, i + 1) {
+                    Some(value) => chunk.values.extend(value),
+                    None => chunk.panicked.push(i),
                 }
             }
-            if any_fresh {
-                if let Err(e) = journal.append(start, &run) {
-                    // The chunk is still good in memory; fail the run (the
-                    // user asked for a checkpoint they are not getting) but
-                    // let siblings wind down cooperatively.
-                    set_slot_once(&fault, e);
-                }
-            }
-            local.push((start, run));
-        }
-        let mut all = lock_unpoisoned(&runs);
-        all.append(&mut local);
-    };
-
-    if jobs <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(worker);
-            }
-        });
-    }
-
-    let mut all = match runs.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    all.sort_by_key(|(start, _)| *start);
-    if let Some(e) = lock_unpoisoned(&fault).take() {
-        return Err(e);
-    }
-    if let Some(reason) = lock_unpoisoned(&interrupted).take() {
-        return Err(PpatcError::Interrupted {
-            reason,
-            completed: coalesce_completed(&all),
-            total: n,
-        });
-    }
-    Ok(all.into_iter().flat_map(|(_, run)| run).collect())
-}
-
-/// The batched supervised engine: like [`supervised_map`], but a chunk
-/// whose items are all fresh (nothing preloaded from the journal) is
-/// evaluated in one `f_batch(start, end)` call. Chunks that mix preloaded
-/// and fresh items — and batches that panic or return a wrong-size run —
-/// fall back to the per-item `f_item` path, so failure classification
-/// (which index panicked) is identical to the scalar engine.
-///
-/// `f_batch(start, end)` must be bit-identical to
-/// `(start..end).map(f_item).collect()`; see [`par_map_indexed_batched`].
-fn supervised_map_batched<T, FI, FB, J>(
-    n: usize,
-    jobs: usize,
-    budget: &RunBudget,
-    journal: &J,
-    f_item: FI,
-    f_batch: FB,
-) -> Result<Vec<Result<T, PpatcError>>, PpatcError>
-where
-    T: Send,
-    FI: Fn(usize) -> T + Sync,
-    FB: Fn(usize, usize) -> Vec<T> + Sync,
-    J: JournalHooks<T>,
-{
-    type ChunkRuns<T> = Vec<(usize, Vec<Result<T, PpatcError>>)>;
-    let jobs = jobs.max(1).min(n.max(1));
-    let chunk = (n / (jobs * 8).max(1)).clamp(MIN_CHUNK, MAX_CHUNK);
-    let next = AtomicUsize::new(0);
-    let runs: Mutex<ChunkRuns<T>> = Mutex::new(Vec::new());
-    let interrupted: Mutex<Option<InterruptReason>> = Mutex::new(None);
-    let fault: Mutex<Option<PpatcError>> = Mutex::new(None);
-
-    // Per-item evaluation with the same unwind boundary as the scalar
-    // engine; used for mixed chunks and as the fallback when a batch
-    // misbehaves. Soundness of AssertUnwindSafe: each item is a pure
-    // function of its index over read-only inputs.
-    let eval_item = |i: usize| -> Result<T, PpatcError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f_item(i)))
-            .map_err(|_| PpatcError::WorkerPanic { index: i })
-    };
-
-    let worker = || {
-        let mut local: ChunkRuns<T> = Vec::new();
-        loop {
-            if slot_is_set(&interrupted) || slot_is_set(&fault) {
-                break;
-            }
-            if let Err(reason) = budget.check() {
-                set_slot_once(&interrupted, reason);
-                break;
-            }
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            let mut pre: Vec<Option<Result<T, PpatcError>>> =
-                (start..end).map(|i| journal.preloaded(i)).collect();
-            let all_fresh = pre.iter().all(Option::is_none);
-            let mut run: Vec<Result<T, PpatcError>> = Vec::with_capacity(end - start);
-            let mut any_fresh = false;
-            if all_fresh {
-                any_fresh = end > start;
-                let batch =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f_batch(start, end)));
-                match batch {
-                    Ok(vals) if vals.len() == end - start => {
-                        run.extend(vals.into_iter().map(Ok));
-                    }
-                    // A panicking (or wrong-size) batch cannot tell us which
-                    // item is at fault; re-run the chunk item by item so the
-                    // guilty index is pinned exactly as the scalar engine
-                    // would pin it.
-                    _ => run.extend((start..end).map(&eval_item)),
-                }
-            } else {
-                for (offset, slot) in pre.iter_mut().enumerate() {
-                    match slot.take() {
-                        Some(item) => run.push(item),
-                        None => {
-                            any_fresh = true;
-                            run.push(eval_item(start + offset));
-                        }
-                    }
-                }
-            }
-            if any_fresh {
-                if let Err(e) = journal.append(start, &run) {
-                    set_slot_once(&fault, e);
-                }
-            }
-            local.push((start, run));
-        }
-        let mut all = lock_unpoisoned(&runs);
-        all.append(&mut local);
-    };
-
-    if jobs <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(worker);
-            }
-        });
-    }
-
-    let mut all = match runs.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    all.sort_by_key(|(start, _)| *start);
-    if let Some(e) = lock_unpoisoned(&fault).take() {
-        return Err(e);
-    }
-    if let Some(reason) = lock_unpoisoned(&interrupted).take() {
-        return Err(PpatcError::Interrupted {
-            reason,
-            completed: coalesce_completed(&all),
-            total: n,
-        });
-    }
-    Ok(all.into_iter().flat_map(|(_, run)| run).collect())
-}
-
-/// Supervised [`par_map_indexed`]: evaluates `f(i)` for every `i in 0..n`
-/// across `jobs` workers under `budget`, returning per-item results in
-/// index order.
-///
-/// Differences from the unsupervised engine:
-/// - `budget` is polled at every chunk boundary; a cancelled or expired run
-///   returns [`PpatcError::Interrupted`] carrying the completed-index set.
-/// - A panicking item is caught at the item boundary and surfaces as
-///   `Err(PpatcError::WorkerPanic { index })` in its slot; sibling items
-///   and workers are unaffected.
-///
-/// For any worker count, the `Ok` items are byte-identical to a serial
-/// `(0..n).map(f)` run.
-///
-/// # Errors
-///
-/// [`PpatcError::Interrupted`] when the budget stops the run.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_par_map_indexed<T, F>(
-    n: usize,
-    jobs: usize,
-    budget: &RunBudget,
-    f: F,
-) -> Result<Vec<Result<T, PpatcError>>, PpatcError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    supervised_map(n, jobs, budget, &NoJournal, f)
-}
-
-/// [`try_par_map_indexed`] with crash-safe checkpointing: completed chunks
-/// stream to `journal` (when given), and items already journaled are
-/// replayed instead of recomputed — including items journaled as
-/// deterministic panics. Pass `None` to run unjournaled.
-///
-/// # Errors
-///
-/// [`PpatcError::Interrupted`] when the budget stops the run (items
-/// completed before the interrupt *are* journaled, so a resumed run skips
-/// them), [`PpatcError::Checkpoint`] when the journal cannot be written or
-/// does not match the run.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_par_map_journaled<T, F>(
-    n: usize,
-    jobs: usize,
-    budget: &RunBudget,
-    journal: Option<&Journal>,
-    f: F,
-) -> Result<Vec<Result<T, PpatcError>>, PpatcError>
-where
-    T: Send + Checkpointable,
-    F: Fn(usize) -> T + Sync,
-{
-    match journal {
-        None => supervised_map(n, jobs, budget, &NoJournal, f),
-        Some(j) => {
-            j.require_width::<T>()?;
-            if j.spec().items != n {
-                return Err(PpatcError::Checkpoint {
-                    detail: format!(
-                        "journal {} spans {} items, but the run has {n}",
-                        j.path().display(),
-                        j.spec().items
-                    ),
-                });
-            }
-            supervised_map(n, jobs, budget, &WithJournal(j), f)
-        }
-    }
-}
-
-/// [`try_par_map_journaled`] with a batched fast path: chunks with no
-/// journaled items run through `f_batch(start, end)` in one call, while
-/// resume replay, mixed chunks, and misbehaving batches fall back to the
-/// per-item `f_item`. Both closures must agree bitwise (`f_batch(s, e)` ≡
-/// `(s..e).map(f_item).collect()`), so results — including which index a
-/// deterministic panic is pinned to — are byte-identical to
-/// [`try_par_map_journaled`] for any worker count.
-///
-/// # Errors
-///
-/// [`PpatcError::Interrupted`] when the budget stops the run,
-/// [`PpatcError::Checkpoint`] when the journal cannot be written or does
-/// not match the run.
-#[must_use = "this returns a Result that must be handled"]
-pub fn try_par_map_journaled_batched<T, FI, FB>(
-    n: usize,
-    jobs: usize,
-    budget: &RunBudget,
-    journal: Option<&Journal>,
-    f_item: FI,
-    f_batch: FB,
-) -> Result<Vec<Result<T, PpatcError>>, PpatcError>
-where
-    T: Send + Checkpointable,
-    FI: Fn(usize) -> T + Sync,
-    FB: Fn(usize, usize) -> Vec<T> + Sync,
-{
-    match journal {
-        None => supervised_map_batched(n, jobs, budget, &NoJournal, f_item, f_batch),
-        Some(j) => {
-            j.require_width::<T>()?;
-            if j.spec().items != n {
-                return Err(PpatcError::Checkpoint {
-                    detail: format!(
-                        "journal {} spans {} items, but the run has {n}",
-                        j.path().display(),
-                        j.spec().items
-                    ),
-                });
-            }
-            supervised_map_batched(n, jobs, budget, &WithJournal(j), f_item, f_batch)
         }
     }
 }
@@ -737,35 +551,123 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+
+    /// How a test run's journal starts out.
+    #[derive(Clone, Copy, Debug)]
+    enum Leg {
+        /// No journal: the run goes through [`par_map_chunks`].
+        Unjournaled,
+        /// A journal created empty for the run.
+        Fresh,
+        /// A resumed journal already holding every other block of 7 items,
+        /// so chunks mix replayed and freshly computed items.
+        Resumed,
+    }
+
+    const JOBS: [usize; 3] = [1, 2, 8];
+    const LEGS: [Leg; 3] = [Leg::Unjournaled, Leg::Fresh, Leg::Resumed];
+
+    /// A collision-free scratch path for one test leg.
+    fn scratch(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("ppatc-eval-{}-{name}.txt", std::process::id()))
+    }
+
+    /// Opens `leg`'s journal at `path` for an `n`-item run; the resumed
+    /// leg's prefilled items come from `item` (a panic is journaled as
+    /// one).
+    fn open_leg(leg: Leg, path: &Path, n: usize, item: impl Fn(usize) -> f64) -> Option<Journal> {
+        let spec = JournalSpec::for_run::<f64>("evaltest", n, &[]);
+        let journal = match leg {
+            Leg::Unjournaled => return None,
+            Leg::Fresh | Leg::Resumed => Journal::try_create(path, &spec).expect("create journal"),
+        };
+        if matches!(leg, Leg::Fresh) {
+            return Some(journal);
+        }
+        for start in (0..n).step_by(14) {
+            let items: Vec<Option<f64>> = (start..(start + 7).min(n))
+                .map(|i| catch_unwind(AssertUnwindSafe(|| item(i))).ok())
+                .collect();
+            journal
+                .append_chunk(start, items.iter().map(Option::as_ref))
+                .expect("prefill the journal");
+        }
+        drop(journal);
+        Some(Journal::try_resume(path, &spec).expect("resume journal"))
+    }
+
+    /// Runs `f` over `0..n` through the map function `journal` calls for.
+    fn run<F>(
+        n: usize,
+        jobs: usize,
+        budget: &RunBudget,
+        journal: Option<&Journal>,
+        f: F,
+    ) -> Result<Mapped<f64>, PpatcError>
+    where
+        F: Fn(usize, usize) -> Vec<f64> + Sync,
+    {
+        match journal {
+            None => par_map_chunks(n, jobs, budget, f),
+            Some(_) => par_map_chunks_journaled(n, jobs, budget, journal, f),
+        }
+    }
+
+    /// `item` lifted to the chunk shape.
+    fn chunked(item: impl Fn(usize) -> f64 + Sync) -> impl Fn(usize, usize) -> Vec<f64> + Sync {
+        move |s, e| (s..e).map(&item).collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every (jobs, journal leg) pair with a scratch path for it; the
+    /// journal file is removed after `body` returns.
+    fn for_each_leg(name: &str, mut body: impl FnMut(usize, Leg, &Path)) {
+        for jobs in JOBS {
+            for leg in LEGS {
+                let path = scratch(&format!("{name}-{jobs}-{leg:?}"));
+                body(jobs, leg, &path);
+                let _ = std::fs::remove_file(&path);
+            }
+        }
+    }
 
     #[test]
-    fn results_arrive_in_index_order_for_any_worker_count() {
-        let serial: Vec<usize> = (0..1000).map(|i| i * i).collect();
-        for jobs in [1, 2, 3, 8, 64] {
-            let parallel = par_map_indexed(1000, jobs, |i| i * i);
-            assert_eq!(parallel, serial, "jobs = {jobs}");
-        }
+    fn results_arrive_in_index_order_bit_identical_to_a_serial_map() {
+        let item = |i: usize| (i as f64).sqrt().sin() / (i as f64 + 0.5);
+        let n = 3000;
+        let serial: Vec<u64> = (0..n).map(|i| item(i).to_bits()).collect();
+        for_each_leg("order", |jobs, leg, path| {
+            let journal = open_leg(leg, path, n, item);
+            let mapped = run(
+                n,
+                jobs,
+                &RunBudget::unlimited(),
+                journal.as_ref(),
+                chunked(item),
+            )
+            .expect("an unlimited budget never interrupts");
+            assert!(mapped.panicked.is_empty(), "jobs = {jobs}, {leg:?}");
+            assert_eq!(bits(&mapped.values), serial, "jobs = {jobs}, {leg:?}");
+        });
     }
 
     #[test]
     fn small_inputs_and_edge_counts() {
-        assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(1, 4, |i| i + 1), vec![1]);
-        assert_eq!(par_map_indexed(3, 100, |i| i), vec![0, 1, 2]);
-        assert_eq!(par_map_indexed(5, 0, |i| i), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn float_results_are_bit_identical_across_worker_counts() {
-        let f = |i: usize| (i as f64).sqrt().sin() / (i as f64 + 0.5);
-        let serial: Vec<u64> = (0..5000).map(|i| f(i).to_bits()).collect();
-        for jobs in [2, 4, 16] {
-            let parallel: Vec<u64> = par_map_indexed(5000, jobs, f)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            assert_eq!(parallel, serial, "jobs = {jobs}");
-        }
+        let ids = |n: usize, jobs: usize| {
+            par_map_chunks(n, jobs, &RunBudget::unlimited(), |s, e| {
+                (s..e).collect::<Vec<usize>>()
+            })
+            .expect("an unlimited budget never interrupts")
+            .values
+        };
+        assert_eq!(ids(0, 4), Vec::<usize>::new());
+        assert_eq!(ids(1, 4), vec![0]);
+        assert_eq!(ids(3, 100), vec![0, 1, 2]);
+        assert_eq!(ids(5, 0), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -773,332 +675,263 @@ mod tests {
         assert!(default_jobs() >= 1);
     }
 
-    /// A collision-free scratch path for one test.
-    fn scratch(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("ppatc-eval-{}-{name}.txt", std::process::id()))
-    }
-
-    fn unwrap_items<T>(items: Vec<Result<T, PpatcError>>) -> Vec<T> {
-        items
-            .into_iter()
-            .map(|r| r.expect("no item failed"))
-            .collect()
-    }
-
     #[test]
-    fn supervised_run_matches_unsupervised_for_any_worker_count() {
-        let f = |i: usize| (i as f64).sqrt().sin() / (i as f64 + 0.5);
-        let reference: Vec<u64> = par_map_indexed(3000, 1, f)
-            .into_iter()
-            .map(f64::to_bits)
+    fn a_panicking_item_is_pinned_to_its_index_and_isolated() {
+        // Item 130 falls in a prefilled block of the resumed leg (it
+        // replays as a journaled panic), item 137 in a fresh one.
+        let item = |i: usize| {
+            assert!(i != 130 && i != 137, "deterministic injected panic");
+            i as f64 * 2.0
+        };
+        let n = 300;
+        let want: Vec<f64> = (0..n)
+            .filter(|&i| i != 130 && i != 137)
+            .map(|i| i as f64 * 2.0)
             .collect();
-        for jobs in [1, 2, 8] {
-            let supervised = try_par_map_indexed(3000, jobs, &RunBudget::unlimited(), f)
-                .expect("unlimited budget never interrupts");
-            let bits: Vec<u64> = unwrap_items(supervised)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            assert_eq!(bits, reference, "jobs = {jobs}");
-        }
+        for_each_leg("panic", |jobs, leg, path| {
+            let journal = open_leg(leg, path, n, item);
+            let mapped = run(
+                n,
+                jobs,
+                &RunBudget::unlimited(),
+                journal.as_ref(),
+                chunked(item),
+            )
+            .expect("a panicking item does not interrupt the run");
+            assert_eq!(mapped.panicked, vec![130, 137], "jobs = {jobs}, {leg:?}");
+            assert_eq!(mapped.values, want, "siblings are unaffected");
+            assert_eq!(
+                mapped.try_complete(),
+                Err(PpatcError::WorkerPanic { index: 130 })
+            );
+        });
     }
 
     #[test]
-    fn a_panicking_item_is_isolated_not_fatal() {
-        let results = try_par_map_indexed(100, 8, &RunBudget::unlimited(), |i| {
-            assert!(i != 37, "deterministic injected panic");
-            i * 2
-        })
-        .expect("a panicking item does not interrupt the run");
-        assert_eq!(results.len(), 100);
-        for (i, r) in results.iter().enumerate() {
-            if i == 37 {
-                assert_eq!(r, &Err(PpatcError::WorkerPanic { index: 37 }));
-            } else {
-                assert_eq!(r, &Ok(i * 2), "sibling items are unaffected");
-            }
-        }
+    fn a_wrong_size_chunk_is_reported_at_its_index_and_shifts_nothing() {
+        // Every call whose range holds item 37 comes back one value short.
+        let item = |i: usize| i as f64 + 0.25;
+        let f =
+            |s: usize, e: usize| -> Vec<f64> { (s..e).filter(|&i| i != 37).map(item).collect() };
+        let want: Vec<f64> = (0..100).filter(|&i| i != 37).map(item).collect();
+        for_each_leg("wrong-size", |jobs, leg, path| {
+            let journal = open_leg(leg, path, 100, item);
+            let mapped = run(100, jobs, &RunBudget::unlimited(), journal.as_ref(), f)
+                .expect("a short chunk does not interrupt the run");
+            assert_eq!(mapped.panicked, vec![37], "jobs = {jobs}, {leg:?}");
+            assert_eq!(mapped.values, want, "later items keep their own values");
+        });
     }
 
     #[test]
-    fn pre_cancelled_token_stops_before_any_work() {
+    fn a_pre_cancelled_token_stops_before_any_work() {
         let token = CancelToken::new();
         token.cancel();
         assert!(token.is_cancelled());
         let budget = RunBudget::unlimited().with_cancel(&token);
-        let calls = AtomicUsize::new(0);
-        let err = try_par_map_indexed(1000, 4, &budget, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        })
-        .expect_err("cancelled before the first chunk");
-        match err {
-            PpatcError::Interrupted {
-                reason,
-                completed,
-                total,
-            } => {
-                assert_eq!(reason, InterruptReason::Cancelled);
-                assert!(completed.is_empty(), "{completed:?}");
-                assert_eq!(total, 1000);
+        for_each_leg("pre-cancel", |jobs, leg, path| {
+            let journal = open_leg(leg, path, 1000, |i| i as f64);
+            let calls = AtomicUsize::new(0);
+            let err = run(1000, jobs, &budget, journal.as_ref(), |s, e| {
+                calls.fetch_add(e - s, Ordering::Relaxed);
+                (s..e).map(|i| i as f64).collect()
+            })
+            .expect_err("cancelled before the first chunk");
+            match err {
+                PpatcError::Interrupted {
+                    reason,
+                    completed,
+                    total,
+                } => {
+                    assert_eq!(reason, InterruptReason::Cancelled);
+                    assert!(completed.is_empty(), "{completed:?}");
+                    assert_eq!(total, 1000);
+                }
+                other => panic!("expected Interrupted, got {other}"),
             }
-            other => panic!("expected Interrupted, got {other}"),
-        }
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "no item was evaluated");
+            assert_eq!(calls.load(Ordering::Relaxed), 0, "no item was evaluated");
+        });
     }
 
     #[test]
-    fn expired_deadline_interrupts_with_a_typed_reason() {
+    fn an_expired_deadline_interrupts_with_a_typed_reason() {
         let budget = RunBudget::unlimited().with_deadline(Instant::now());
-        let err = try_par_map_indexed(100, 2, &budget, |i| i)
-            .expect_err("an already-expired deadline stops the run");
-        assert!(
-            matches!(
-                err,
-                PpatcError::Interrupted {
-                    reason: InterruptReason::DeadlineExpired,
-                    ..
-                }
-            ),
-            "{err}"
-        );
+        for_each_leg("deadline", |jobs, leg, path| {
+            let journal = open_leg(leg, path, 100, |i| i as f64);
+            let err = run(100, jobs, &budget, journal.as_ref(), chunked(|i| i as f64))
+                .expect_err("an already-expired deadline stops the run");
+            assert!(
+                matches!(
+                    err,
+                    PpatcError::Interrupted {
+                        reason: InterruptReason::DeadlineExpired,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        });
     }
 
     #[test]
     fn mid_run_cancellation_keeps_partial_work() {
-        // The closure itself trips the token after 96 calls; jobs = 1 makes
-        // the call count deterministic. Cancellation is observed at the
-        // next chunk boundary, so the in-flight chunk still completes.
-        let token = CancelToken::new();
-        let budget = RunBudget::unlimited().with_cancel(&token);
-        let calls = AtomicUsize::new(0);
-        let err = try_par_map_indexed(1000, 1, &budget, |i| {
-            if calls.fetch_add(1, Ordering::Relaxed) + 1 == 96 {
-                token.cancel();
+        // The closure trips the token on its 96th fresh item. Cancellation
+        // is observed at the next chunk boundary, so in-flight chunks
+        // still complete.
+        for_each_leg("mid-cancel", |jobs, leg, path| {
+            let journal = open_leg(leg, path, 1000, |i| i as f64);
+            let token = CancelToken::new();
+            let budget = RunBudget::unlimited().with_cancel(&token);
+            let calls = AtomicUsize::new(0);
+            let err = run(1000, jobs, &budget, journal.as_ref(), |s, e| {
+                (s..e)
+                    .map(|i| {
+                        if calls.fetch_add(1, Ordering::Relaxed) + 1 == 96 {
+                            token.cancel();
+                        }
+                        i as f64
+                    })
+                    .collect()
+            })
+            .expect_err("cancelled mid-run");
+            match err {
+                PpatcError::Interrupted {
+                    reason, completed, ..
+                } => {
+                    assert_eq!(reason, InterruptReason::Cancelled);
+                    let done: usize = completed.iter().map(|&(s, e)| e - s).sum();
+                    assert!(
+                        (96..1000).contains(&done),
+                        "jobs = {jobs}, {leg:?}: partial work kept: {done}"
+                    );
+                }
+                other => panic!("expected Interrupted, got {other}"),
             }
-            i
-        })
-        .expect_err("cancelled mid-run");
-        match err {
-            PpatcError::Interrupted {
-                reason, completed, ..
-            } => {
-                assert_eq!(reason, InterruptReason::Cancelled);
-                let done: usize = completed.iter().map(|&(s, e)| e - s).sum();
-                assert!(done >= 96 && done < 1000, "partial work kept: {done}");
-            }
-            other => panic!("expected Interrupted, got {other}"),
-        }
+        });
     }
 
     #[test]
-    fn coalesce_merges_adjacent_chunks() {
-        let runs = vec![(0, vec![0, 1]), (2, vec![2]), (5, vec![5, 6])];
-        assert_eq!(coalesce_completed(&runs), vec![(0, 3), (5, 7)]);
-        assert_eq!(coalesce_completed::<u8>(&[]), Vec::<(usize, usize)>::new());
+    fn a_journal_for_another_item_count_is_rejected() {
+        for_each_leg("mismatch", |jobs, leg, path| {
+            let Some(journal) = open_leg(leg, path, 10, |i| i as f64) else {
+                return;
+            };
+            let err = par_map_chunks_journaled(
+                11,
+                jobs,
+                &RunBudget::unlimited(),
+                Some(&journal),
+                chunked(|i| i as f64),
+            )
+            .expect_err("item count differs from the spec");
+            assert!(matches!(err, PpatcError::Checkpoint { .. }), "{err}");
+        });
     }
 
     #[test]
-    fn journaled_run_resumes_entirely_from_disk() {
+    fn a_fully_journaled_run_replays_without_recomputing() {
         let path = scratch("replay");
-        let spec = JournalSpec::for_run::<f64>("evaltest", 500, &[7]);
-        let f = |i: usize| (i as f64) * 1.5;
+        let n = 500;
+        let spec = JournalSpec::for_run::<f64>("evaltest", n, &[7]);
+        let item = |i: usize| (i as f64) * 1.5;
         let first = {
             let journal = Journal::try_create(&path, &spec).expect("create journal");
-            unwrap_items(
-                try_par_map_journaled(500, 4, &RunBudget::unlimited(), Some(&journal), f)
-                    .expect("journaled run completes"),
-            )
+            par_map_chunks_journaled(n, 4, &RunBudget::unlimited(), Some(&journal), chunked(item))
+                .expect("journaled run completes")
+                .values
         };
-        // Resume with a closure that would panic if any item were
-        // recomputed: every value must come from the journal.
         let journal = Journal::try_resume(&path, &spec).expect("resume journal");
-        assert_eq!(journal.completed_items(), 500);
-        let replayed = unwrap_items(
-            try_par_map_journaled(500, 4, &RunBudget::unlimited(), Some(&journal), |i| {
-                panic!("item {i} must be replayed, not recomputed")
-            })
-            .expect("replay completes"),
-        );
-        let first_bits: Vec<u64> = first.into_iter().map(f64::to_bits).collect();
-        let replayed_bits: Vec<u64> = replayed.into_iter().map(f64::to_bits).collect();
-        assert_eq!(first_bits, replayed_bits);
+        assert_eq!(journal.completed_items(), n);
+        for jobs in JOBS {
+            // A closure that would panic if any item were recomputed: every
+            // value must come from the journal.
+            let replayed = par_map_chunks_journaled(
+                n,
+                jobs,
+                &RunBudget::unlimited(),
+                Some(&journal),
+                |s, _e| -> Vec<f64> { panic!("chunk at {s} must be replayed, not recomputed") },
+            )
+            .expect("replay completes");
+            assert!(replayed.panicked.is_empty());
+            assert_eq!(bits(&replayed.values), bits(&first), "jobs = {jobs}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn interrupt_then_resume_is_identical_to_uninterrupted() {
-        let path = scratch("resume");
         let n = 800;
         let spec = JournalSpec::for_run::<f64>("evaltest", n, &[11]);
-        let f = |i: usize| (i as f64).cos() * 3.0;
-        let reference: Vec<u64> = (0..n).map(|i| f(i).to_bits()).collect();
-
-        // Interrupted first leg: cancel after ~a third of the items.
-        let token = CancelToken::new();
-        let budget = RunBudget::unlimited().with_cancel(&token);
-        let calls = AtomicUsize::new(0);
-        {
-            let journal = Journal::try_create(&path, &spec).expect("create journal");
-            let err = try_par_map_journaled(n, 1, &budget, Some(&journal), |i| {
-                if calls.fetch_add(1, Ordering::Relaxed) + 1 == n / 3 {
-                    token.cancel();
+        let item = |i: usize| (i as f64).cos() * 3.0;
+        let reference: Vec<u64> = (0..n).map(|i| item(i).to_bits()).collect();
+        for jobs in JOBS {
+            let path = scratch(&format!("resume-{jobs}"));
+            // Interrupted first leg: cancel after about a third of the items.
+            let token = CancelToken::new();
+            let budget = RunBudget::unlimited().with_cancel(&token);
+            let calls = AtomicUsize::new(0);
+            {
+                let journal = Journal::try_create(&path, &spec).expect("create journal");
+                let err = par_map_chunks_journaled(n, jobs, &budget, Some(&journal), |s, e| {
+                    (s..e)
+                        .map(|i| {
+                            if calls.fetch_add(1, Ordering::Relaxed) + 1 == n / 3 {
+                                token.cancel();
+                            }
+                            item(i)
+                        })
+                        .collect()
+                })
+                .expect_err("first leg is cancelled");
+                match err {
+                    PpatcError::Interrupted { completed, .. } => {
+                        let done: usize = completed.iter().map(|&(s, e)| e - s).sum();
+                        assert!(done > 0 && done < n, "partial first leg: {done}");
+                    }
+                    other => panic!("expected Interrupted, got {other}"),
                 }
-                f(i)
-            })
-            .expect_err("first leg is cancelled");
-            match err {
-                PpatcError::Interrupted { completed, .. } => {
-                    let done: usize = completed.iter().map(|&(s, e)| e - s).sum();
-                    assert!(done > 0 && done < n, "partial first leg: {done}");
-                }
-                other => panic!("expected Interrupted, got {other}"),
             }
-        }
-
-        // Resumed second leg: unlimited budget, journaled items replayed.
-        let journal = Journal::try_resume(&path, &spec).expect("resume journal");
-        let replayed_before = journal.completed_items();
-        assert!(replayed_before > 0, "the first leg journaled its chunks");
-        let resumed = unwrap_items(
-            try_par_map_journaled(n, 4, &RunBudget::unlimited(), Some(&journal), f)
-                .expect("second leg completes"),
-        );
-        let resumed_bits: Vec<u64> = resumed.into_iter().map(f64::to_bits).collect();
-        assert_eq!(resumed_bits, reference, "resume is byte-identical");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn journal_item_count_mismatch_is_rejected() {
-        let path = scratch("mismatch");
-        let spec = JournalSpec::for_run::<f64>("evaltest", 10, &[]);
-        let journal = Journal::try_create(&path, &spec).expect("create journal");
-        let err =
-            try_par_map_journaled(11, 1, &RunBudget::unlimited(), Some(&journal), |i| i as f64)
-                .expect_err("item count differs from the spec");
-        assert!(matches!(err, PpatcError::Checkpoint { .. }), "{err}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn batched_map_is_bit_identical_to_per_index_for_any_worker_count() {
-        let f = |i: usize| (i as f64).sqrt().sin() / (i as f64 + 0.5);
-        let serial: Vec<u64> = (0..5000).map(|i| f(i).to_bits()).collect();
-        for jobs in [1, 2, 4, 16] {
-            let batched: Vec<u64> =
-                par_map_indexed_batched(5000, jobs, |s, e| (s..e).map(f).collect())
-                    .into_iter()
-                    .map(f64::to_bits)
-                    .collect();
-            assert_eq!(batched, serial, "jobs = {jobs}");
-        }
-        assert_eq!(
-            par_map_indexed_batched(0, 4, |s, e| (s..e).collect::<Vec<_>>()),
-            Vec::<usize>::new()
-        );
-    }
-
-    #[test]
-    fn supervised_batched_matches_the_scalar_engine() {
-        let f = |i: usize| (i as f64).cos() * 3.0;
-        let reference: Vec<u64> = (0..3000).map(|i| f(i).to_bits()).collect();
-        for jobs in [1, 2, 8] {
-            let batched = try_par_map_journaled_batched(
-                3000,
+            // Resumed second leg: unlimited budget, journaled items replayed.
+            let journal = Journal::try_resume(&path, &spec).expect("resume journal");
+            assert!(
+                journal.completed_items() > 0,
+                "the first leg journaled its chunks"
+            );
+            let resumed = par_map_chunks_journaled(
+                n,
                 jobs,
                 &RunBudget::unlimited(),
-                None,
-                f,
-                |s, e| (s..e).map(f).collect(),
+                Some(&journal),
+                chunked(item),
             )
-            .expect("unlimited budget never interrupts");
-            let bits: Vec<u64> = unwrap_items(batched)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            assert_eq!(bits, reference, "jobs = {jobs}");
+            .expect("second leg completes");
+            assert_eq!(bits(&resumed.values), reference, "jobs = {jobs}");
+            let _ = std::fs::remove_file(&path);
         }
     }
 
     #[test]
-    fn a_panicking_batch_falls_back_and_pins_the_guilty_index() {
-        let f_item = |i: usize| {
-            if i == 137 {
-                panic!("item 137 is bad");
-            }
-            i as f64
+    fn completed_spans_coalesce_the_merged_prefix_and_pending_chunks() {
+        let chunk = || Mapped::<u8> {
+            values: Vec::new(),
+            panicked: Vec::new(),
         };
-        let results =
-            try_par_map_journaled_batched(300, 4, &RunBudget::unlimited(), None, f_item, |s, e| {
-                (s..e).map(f_item).collect()
-            })
-            .expect("a panicking item is isolated, not fatal");
-        assert_eq!(results.len(), 300);
-        for (i, r) in results.iter().enumerate() {
-            if i == 137 {
-                assert!(
-                    matches!(r, Err(PpatcError::WorkerPanic { index: 137 })),
-                    "index 137 carries the panic, got {r:?}"
-                );
-            } else {
-                assert_eq!(*r.as_ref().expect("healthy item"), i as f64);
-            }
-        }
-    }
-
-    #[test]
-    fn a_wrong_size_batch_falls_back_to_per_item_results() {
-        let f_item = |i: usize| i as f64 + 0.25;
-        let results = try_par_map_journaled_batched(
-            100,
-            1,
-            &RunBudget::unlimited(),
-            None,
-            f_item,
-            |s, e| (s..e).map(f_item).skip(1).collect(), // one short: must be discarded
-        )
-        .expect("fallback completes the run");
-        let got = unwrap_items(results);
-        let want: Vec<f64> = (0..100).map(f_item).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn batched_resume_replays_journaled_items_without_recomputing() {
-        let path = scratch("batched-resume");
-        let n = 600;
-        let spec = JournalSpec::for_run::<f64>("evaltest", n, &[3]);
-        let f = |i: usize| (i as f64) * 1.25;
-        {
-            let journal = Journal::try_create(&path, &spec).expect("create journal");
-            try_par_map_journaled_batched(
-                n,
-                4,
-                &RunBudget::unlimited(),
-                Some(&journal),
-                f,
-                |s, e| (s..e).map(f).collect(),
-            )
-            .expect("first leg completes");
-        }
-        let journal = Journal::try_resume(&path, &spec).expect("resume journal");
-        assert_eq!(journal.completed_items(), n);
-        let replayed = unwrap_items(
-            try_par_map_journaled_batched(
-                n,
-                4,
-                &RunBudget::unlimited(),
-                Some(&journal),
-                |i: usize| -> f64 { panic!("item {i} must be replayed, not recomputed") },
-                |s, _e| -> Vec<f64> { panic!("batch at {s} must be replayed, not recomputed") },
-            )
-            .expect("replay completes"),
-        );
-        let want: Vec<u64> = (0..n).map(|i| f(i).to_bits()).collect();
-        let got: Vec<u64> = replayed.into_iter().map(f64::to_bits).collect();
-        assert_eq!(got, want);
-        let _ = std::fs::remove_file(&path);
+        let mut merge = Merge {
+            out: chunk(),
+            merged: 0,
+            pending: BTreeMap::new(),
+            interrupt: None,
+            fault: None,
+        };
+        assert_eq!(merge.completed(), Vec::<(usize, usize)>::new());
+        merge.push(2, 3, chunk());
+        merge.push(5, 7, chunk());
+        merge.push(3, 4, chunk());
+        assert_eq!(merge.completed(), vec![(2, 4), (5, 7)]);
+        merge.push(0, 2, chunk());
+        assert_eq!(merge.completed(), vec![(0, 4), (5, 7)]);
+        assert_eq!(merge.merged, 4);
     }
 
     #[test]

@@ -222,11 +222,12 @@ impl TcdpMap {
         (y0, y1): (f64, f64),
         nx: usize,
         ny: usize,
-    ) -> Result<Vec<(f64, f64, f64)>, ValidationError> {
+    ) -> Result<Vec<(f64, f64, f64)>, PpatcError> {
         self.try_raster_jobs((x0, x1), (y0, y1), nx, ny, 1)
     }
 
-    /// [`TcdpMap::try_raster`] sharded across `jobs` workers; the grid is
+    /// [`TcdpMap::try_raster`] sharded across `jobs` workers (the
+    /// supervised twin under a default [`Supervisor`]); the grid is
     /// byte-identical to the serial raster for any worker count (every
     /// point is a pure function of its grid index).
     #[must_use = "this returns a Result that must be handled"]
@@ -238,11 +239,8 @@ impl TcdpMap {
         nx: usize,
         ny: usize,
         jobs: usize,
-    ) -> Result<Vec<(f64, f64, f64)>, ValidationError> {
-        check_raster_window((x0, x1), (y0, y1), nx, ny)?;
-        Ok(crate::eval::par_map_indexed(nx * ny, jobs, |k| {
-            self.raster_point((x0, x1), (y0, y1), nx, ny, k)
-        }))
+    ) -> Result<Vec<(f64, f64, f64)>, PpatcError> {
+        self.try_raster_supervised((x0, x1), (y0, y1), nx, ny, jobs, &Supervisor::new())
     }
 
     /// [`TcdpMap::try_raster_jobs`] under a [`Supervisor`]: honors the
@@ -271,16 +269,19 @@ impl TcdpMap {
         supervisor: &Supervisor,
     ) -> Result<Vec<(f64, f64, f64)>, PpatcError> {
         check_raster_window((x0, x1), (y0, y1), nx, ny)?;
-        let spec = self.raster_spec((x0, x1), (y0, y1), nx, ny);
-        let journal = supervisor.try_open_journal(&spec)?;
-        let outcomes = crate::eval::try_par_map_journaled(
+        let journal = supervisor.try_open_journal(&self.raster_spec((x0, x1), (y0, y1), nx, ny))?;
+        crate::eval::par_map_chunks_journaled(
             nx * ny,
             jobs,
             supervisor.budget(),
             journal.as_ref(),
-            |k| self.raster_point((x0, x1), (y0, y1), nx, ny, k),
-        )?;
-        outcomes.into_iter().collect()
+            |start, end| {
+                (start..end)
+                    .map(|k| self.raster_point((x0, x1), (y0, y1), nx, ny, k))
+                    .collect()
+            },
+        )?
+        .try_complete()
     }
 
     /// Journal identity of a raster run: the window, the resolution, and
@@ -573,11 +574,11 @@ mod tests {
         let e = m
             .try_raster((0.5, 3.0), (0.25, 1.5), 1, 5)
             .expect_err("1-wide raster rejected");
-        assert_eq!(e.field, "nx");
+        assert!(matches!(e, PpatcError::Validation(v) if v.field == "nx"));
         let e = m
             .try_raster((3.0, 0.5), (0.25, 1.5), 6, 5)
             .expect_err("empty range rejected");
-        assert_eq!(e.field, "x1");
+        assert!(matches!(e, PpatcError::Validation(v) if v.field == "x1"));
     }
 
     #[test]

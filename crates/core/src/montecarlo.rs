@@ -38,7 +38,7 @@
 
 use crate::checkpoint::JournalSpec;
 use crate::error::{check, PpatcError, ValidationError};
-use crate::eval::{RunBudget, Supervisor};
+use crate::eval::{Mapped, RunBudget, Supervisor};
 use crate::isoline::TcdpMap;
 use crate::lifetime::Lifetime;
 use ppatc_units::rng::SplitMix64;
@@ -48,6 +48,16 @@ use ppatc_units::rng::SplitMix64;
 /// boundaries are unobservable: batches are bit-identical to per-sample
 /// evaluation regardless of where they split.
 const MC_BATCH: usize = 1024;
+
+/// Ratios of samples `start..end` of the sweep `plan` draws, evaluated as
+/// one [`SampleBatch`] — the chunk closure of every engine-backed sweep.
+fn ratio_chunk(source: &dyn RatioSource, plan: &SamplePlan, start: usize, end: usize) -> Vec<f64> {
+    let mut batch = SampleBatch::default();
+    plan.fill(start as u64, end - start, &mut batch);
+    let mut ratios = Vec::with_capacity(end - start);
+    source.tcdp_ratio_batch(&batch, &mut ratios);
+    ratios
+}
 
 /// Joint uncertainty ranges. Scales are sampled log-uniformly (a factor of
 /// 2 up is as likely as a factor of 2 down); lifetimes and yields
@@ -570,16 +580,14 @@ pub fn try_run_with(
     let n = config.samples;
     let before = ppatc_spice::recovery_counters();
     let plan = SamplePlan::new(config.seed, ranges);
-    let mut ratios: Vec<f64> = Vec::with_capacity(n);
-    let mut batch = SampleBatch::default();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + MC_BATCH).min(n);
-        plan.fill(start as u64, end - start, &mut batch);
-        source.tcdp_ratio_batch(&batch, &mut ratios);
-        start = end;
-    }
-    summarize(ratios, config, pressure_since(before))
+    let sweep = Mapped {
+        values: (0..n)
+            .step_by(MC_BATCH)
+            .flat_map(|start| ratio_chunk(source, &plan, start, (start + MC_BATCH).min(n)))
+            .collect(),
+        panicked: Vec::new(),
+    };
+    summarize(sweep, config, pressure_since(before))
 }
 
 /// The exact scalar per-sample path — [`draw_sample`] plus one
@@ -594,19 +602,21 @@ pub fn try_run_scalar(
     jobs: usize,
 ) -> Result<MonteCarloResult, PpatcError> {
     ranges.validate()?;
-    let n = config.samples;
     let before = ppatc_spice::recovery_counters();
-    let ratios = crate::eval::par_map_indexed(n, jobs, |i| {
-        source.tcdp_ratio(&draw_sample(config.seed, i as u64, ranges))
-    });
-    summarize(ratios, config, pressure_since(before))
+    let draw = |i: usize| source.tcdp_ratio(&draw_sample(config.seed, i as u64, ranges));
+    let unlimited = RunBudget::unlimited();
+    let sweep = crate::eval::par_map_chunks(config.samples, jobs, &unlimited, |start, end| {
+        (start..end).map(draw).collect()
+    })?;
+    summarize(sweep, config, pressure_since(before))
 }
 
-/// [`try_run_with`] sharded across `jobs` workers. Requires a thread-safe
-/// source; results are byte-identical to [`try_run_with`] for any worker
-/// count *provided the source is a pure function of the sample* (sources
-/// whose output depends on call order — e.g. call-counting fault
-/// injectors — should use the serial entry point).
+/// [`try_run_with`] sharded across `jobs` workers ([`try_run_supervised`]
+/// under a default [`Supervisor`]). Requires a thread-safe source; results
+/// are byte-identical to [`try_run_with`] for any worker count *provided
+/// the source is a pure function of the sample* (sources whose output
+/// depends on call order — e.g. call-counting fault injectors — should use
+/// the serial entry point).
 #[must_use = "this returns a Result that must be handled"]
 pub fn try_run_with_jobs(
     source: &(dyn RatioSource + Sync),
@@ -614,18 +624,7 @@ pub fn try_run_with_jobs(
     config: &MonteCarloConfig,
     jobs: usize,
 ) -> Result<MonteCarloResult, PpatcError> {
-    ranges.validate()?;
-    let n = config.samples;
-    let before = ppatc_spice::recovery_counters();
-    let plan = SamplePlan::new(config.seed, ranges);
-    let ratios = crate::eval::par_map_indexed_batched(n, jobs, |start, end| {
-        let mut batch = SampleBatch::default();
-        plan.fill(start as u64, end - start, &mut batch);
-        let mut out = Vec::with_capacity(end - start);
-        source.tcdp_ratio_batch(&batch, &mut out);
-        out
-    });
-    summarize(ratios, config, pressure_since(before))
+    try_run_supervised(source, ranges, config, jobs, &Supervisor::new())
 }
 
 /// The checkpoint-journal identity of one sweep: seed and every range bound
@@ -657,9 +656,7 @@ fn journal_spec(config: &MonteCarloConfig, r: &UncertaintyRanges) -> JournalSpec
 /// failure budget, and — when resuming — replays journaled samples instead
 /// of recomputing them.
 ///
-/// With a default [`Supervisor`] this is byte-identical to
-/// [`try_run_with_jobs`] for any worker count (modulo the engine's
-/// panic-isolation wrapper, which is unobservable for panic-free sources).
+/// With a default [`Supervisor`] this is [`try_run_with_jobs`].
 ///
 /// # Errors
 ///
@@ -676,60 +673,36 @@ pub fn try_run_supervised(
     supervisor: &Supervisor,
 ) -> Result<MonteCarloResult, PpatcError> {
     ranges.validate()?;
-    let n = config.samples;
-    let spec = journal_spec(config, ranges);
-    let journal = supervisor.try_open_journal(&spec)?;
+    let journal = supervisor.try_open_journal(&journal_spec(config, ranges))?;
     let before = ppatc_spice::recovery_counters();
     let plan = SamplePlan::new(config.seed, ranges);
-    let outcomes = crate::eval::try_par_map_journaled_batched(
-        n,
+    let sweep = crate::eval::par_map_chunks_journaled(
+        config.samples,
         jobs,
         supervisor.budget(),
         journal.as_ref(),
-        // The per-item path: resume replay chunks and batches that panic
-        // fall back to this, pinning a panicking sample to its exact index.
-        |i| source.tcdp_ratio(&draw_sample(config.seed, i as u64, ranges)),
-        |start, end| {
-            let mut batch = SampleBatch::default();
-            plan.fill(start as u64, end - start, &mut batch);
-            let mut out = Vec::with_capacity(end - start);
-            source.tcdp_ratio_batch(&batch, &mut out);
-            out
-        },
+        |start, end| ratio_chunk(source, &plan, start, end),
     )?;
-    summarize_outcomes(outcomes, config, pressure_since(before))
+    summarize(sweep, config, pressure_since(before))
 }
 
-/// The serial reduction shared by the unsupervised sweep entry points.
-fn summarize(
-    ratios: Vec<f64>,
-    config: &MonteCarloConfig,
-    recovery: SolverRecoveryPressure,
-) -> Result<MonteCarloResult, PpatcError> {
-    summarize_outcomes(ratios.into_iter().map(Ok).collect(), config, recovery)
-}
-
-/// The serial reduction shared by every sweep entry point: classifies the
-/// index-ordered per-sample outcomes (a panicked sample counts as one more
-/// discarded sample), applies the failure budget, and computes survivor
+/// The serial reduction shared by every sweep entry point: counts each
+/// panicked sample as one more discarded sample, classifies the
+/// index-ordered ratios, applies the failure budget, and computes survivor
 /// statistics with linearly interpolated quantiles.
-fn summarize_outcomes(
-    outcomes: Vec<Result<f64, PpatcError>>,
+fn summarize(
+    sweep: Mapped<f64>,
     config: &MonteCarloConfig,
     recovery: SolverRecoveryPressure,
 ) -> Result<MonteCarloResult, PpatcError> {
-    let n = outcomes.len();
-    let mut survivors = Vec::with_capacity(n);
-    let mut failures = FailureBreakdown::default();
+    let n = sweep.values.len() + sweep.panicked.len();
+    let mut survivors = Vec::with_capacity(sweep.values.len());
+    let mut failures = FailureBreakdown {
+        worker_panic: sweep.panicked.len(),
+        ..FailureBreakdown::default()
+    };
     let mut wins = 0usize;
-    for outcome in outcomes {
-        let r = match outcome {
-            Ok(r) => r,
-            Err(_) => {
-                failures.worker_panic += 1;
-                continue;
-            }
-        };
+    for r in sweep.values {
         if !r.is_finite() || r <= 0.0 {
             failures.record(r);
             continue;
@@ -897,12 +870,13 @@ pub fn try_sensitivity_supervised(
         return Err(ValidationError::new("samples", 0.0, ">= 1").into());
     }
     ranges.validate()?;
-    let variance_of = |ranges: &UncertaintyRanges, seed: u64| -> Result<f64, PpatcError> {
-        let ratios: Vec<f64> = crate::eval::try_par_map_indexed(n, jobs, budget, |i| {
-            map.ratio_sampled(&draw_sample(seed, i as u64, ranges))
+    let variance_of = |ranges: &UncertaintyRanges| -> Result<f64, PpatcError> {
+        let plan = SamplePlan::new(seed, ranges);
+        let ratios: Vec<f64> = crate::eval::par_map_chunks(n, jobs, budget, |start, end| {
+            ratio_chunk(map, &plan, start, end)
         })?
+        .values
         .into_iter()
-        .filter_map(Result::ok)
         .filter(|r| r.is_finite())
         .collect();
         if ratios.is_empty() {
@@ -912,7 +886,7 @@ pub fn try_sensitivity_supervised(
         let mean = ratios.iter().sum::<f64>() / m;
         Ok(ratios.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / m)
     };
-    let base = variance_of(ranges, seed)?;
+    let base = variance_of(ranges)?;
     if base <= 0.0 {
         return Ok(vec![
             ("lifetime", 0.0),
@@ -966,7 +940,7 @@ pub fn try_sensitivity_supervised(
     ];
     let mut out: Vec<(&'static str, f64)> = Vec::with_capacity(variants.len());
     for (name, v) in &variants {
-        let reduced = variance_of(v, seed)?;
+        let reduced = variance_of(v)?;
         out.push((*name, ((base - reduced) / base).max(0.0)));
     }
     out.sort_by(|a, b| f64::total_cmp(&b.1, &a.1));

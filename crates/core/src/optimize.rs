@@ -27,6 +27,7 @@
 
 use crate::embodied::EmbodiedPipeline;
 use crate::error::PpatcError;
+use crate::eval::RunBudget;
 use crate::lifetime::Lifetime;
 use crate::system::SystemDesign;
 use crate::usage::UsagePattern;
@@ -196,22 +197,25 @@ impl Optimizer {
     }
 
     /// [`Optimizer::run`] with candidate evaluation sharded across `jobs`
-    /// workers. The ranking is byte-identical to the serial run for any
-    /// worker count: candidates are evaluated at fixed enumeration indices
-    /// and merged back into enumeration order before the (stable) sort.
-    /// Repeated eDRAM characterizations across candidates sharing a
-    /// `(technology, organization)` pair are served from
-    /// [`ppatc_edram::EdramMacro`]'s memo cache.
+    /// workers (the supervised twin under an unlimited budget). The ranking
+    /// is byte-identical to the serial run for any worker count: candidates
+    /// are evaluated at fixed enumeration indices and merged back into
+    /// enumeration order before the (stable) sort. Repeated eDRAM
+    /// characterizations across candidates sharing a `(technology,
+    /// organization)` pair are served from [`ppatc_edram::EdramMacro`]'s
+    /// memo cache.
+    ///
+    /// # Panics
+    ///
+    /// If a candidate evaluation panics.
     pub fn run_jobs(&self, workload: &WorkloadRun, jobs: usize) -> Vec<Candidate> {
-        let points = self.enumerate_points();
-        let evaluated = crate::eval::par_map_indexed(points.len(), jobs, |k| {
-            let (tech, flavor, f_clk) = points[k];
-            self.evaluate_candidate(tech, flavor, f_clk, workload)
-        });
-        Self::rank(evaluated.into_iter().flatten().collect())
+        match self.try_run_supervised(workload, jobs, &RunBudget::unlimited()) {
+            Ok(ranked) => ranked,
+            Err(e) => panic!("{e}"),
+        }
     }
 
-    /// [`Optimizer::run_jobs`] under a [`crate::eval::RunBudget`]: the sweep
+    /// [`Optimizer::run_jobs`] under a [`RunBudget`]: the sweep
     /// honors a cancellation token and deadline (checked at chunk
     /// boundaries) and isolates worker panics. A completed run is
     /// byte-identical to [`Optimizer::run_jobs`] for any worker count.
@@ -227,20 +231,19 @@ impl Optimizer {
         &self,
         workload: &WorkloadRun,
         jobs: usize,
-        budget: &crate::eval::RunBudget,
+        budget: &RunBudget,
     ) -> Result<Vec<Candidate>, PpatcError> {
         let points = self.enumerate_points();
-        let evaluated = crate::eval::try_par_map_indexed(points.len(), jobs, budget, |k| {
-            let (tech, flavor, f_clk) = points[k];
-            self.evaluate_candidate(tech, flavor, f_clk, workload)
-        })?;
-        let mut out = Vec::with_capacity(evaluated.len());
-        for candidate in evaluated {
-            if let Some(c) = candidate? {
-                out.push(c);
-            }
-        }
-        Ok(Self::rank(out))
+        let evaluated = crate::eval::par_map_chunks(points.len(), jobs, budget, |start, end| {
+            points[start..end]
+                .iter()
+                .map(|&(tech, flavor, f_clk)| {
+                    self.evaluate_candidate(tech, flavor, f_clk, workload)
+                })
+                .collect()
+        })?
+        .try_complete()?;
+        Ok(Self::rank(evaluated.into_iter().flatten().collect()))
     }
 
     /// Enumerates the candidate grid in the fixed

@@ -1,14 +1,14 @@
 //! Concurrency-safety rules over worker closures and unwind boundaries.
 //!
 //! The workspace's parallel layers (`std::thread::scope` pools,
-//! [`ppatc::eval`]'s `par_map_indexed` family) promise byte-identical
+//! [`ppatc::eval`]'s `par_map_chunks` engine) promise byte-identical
 //! results for any worker count; that promise dies the moment a worker
 //! closure reaches non-atomic shared mutable state. Two rules enforce it:
 //!
 //! * **PL016 `shared-state-escape`** (deny) — a worker closure (an
 //!   argument of `.spawn(..)`, `thread::spawn`, or the
-//!   `par_map_indexed`/`try_par_map_indexed`/`try_par_map_journaled`
-//!   entry points) touches a `static mut`, either directly or through
+//!   engine's `par_map_chunks`/`par_map_chunks_journaled` entry points)
+//!   touches a `static mut`, either directly or through
 //!   any chain of calls resolved by the workspace symbol table — the
 //!   cross-crate call graph built for PL009 is reused, so a helper in
 //!   another crate that mutates its own `static mut` taints every worker
@@ -88,12 +88,7 @@ pub struct ConcFacts {
 }
 
 /// Entry points whose closure arguments run on other threads.
-const WORKER_ENTRY_FNS: &[&str] = &[
-    "spawn",
-    "par_map_indexed",
-    "try_par_map_indexed",
-    "try_par_map_journaled",
-];
+const WORKER_ENTRY_FNS: &[&str] = &["spawn", "par_map_chunks", "par_map_chunks_journaled"];
 
 /// Method receivers mutated by these names count as state mutation for
 /// PL017 (the conservative everyday set; reads stay silent).

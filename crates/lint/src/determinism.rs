@@ -15,9 +15,9 @@
 //!   associative, so accumulating `f64`s across thread or channel
 //!   boundaries in arrival order (`*total.lock() += x` inside a spawned
 //!   closure, `sum += v` in a receiver drain loop) makes the low bits a
-//!   function of scheduling. The blessed idiom is `par_map_indexed`:
+//!   function of scheduling. The blessed idiom is `par_map_chunks`:
 //!   reduce per-chunk, send `(index, partial)`, merge in index order —
-//!   fns whose name contains `par_map_indexed` are exempt.
+//!   fns whose name contains `par_map_chunks` are exempt.
 //!
 //! Both rules are syntactic over-approximations tuned for zero false
 //! positives on the real workspace: variable states are tracked only
@@ -61,7 +61,7 @@ pub fn check_file(file: &SourceFile, bodies: &[(usize, Block)]) -> Vec<DetFindin
             env: HashMap::new(),
             sorted: HashSet::new(),
             candidates: Vec::new(),
-            exempt_reduction: f.name.contains("par_map_indexed"),
+            exempt_reduction: f.name.contains("par_map_chunks"),
             out: &mut out,
         };
         // Hash-typed parameters participate from the start.
@@ -397,7 +397,7 @@ impl Walker<'_> {
                                 "`{}` accumulates floats in thread/channel arrival \
                                  order, which is scheduler-dependent; reduce \
                                  per-chunk and merge in index order (the \
-                                 par_map_indexed idiom)",
+                                 par_map_chunks idiom)",
                                 op.symbol()
                             ),
                         });

@@ -158,7 +158,7 @@ fn explain(query: &str) -> Option<String> {
         "PL012" => (
             "Float addition is not associative: accumulating partial sums in \
              thread or channel arrival order makes the low-order bits a \
-             function of the scheduler. The blessed idiom is par_map_indexed — \
+             function of the scheduler. The blessed idiom is par_map_chunks — \
              reduce per-chunk, send (index, partial), merge in index order — \
              which this rule exempts by name.",
             "while let Ok(x) = rx.recv() { sum += x; }  // arrival-order reduction",
@@ -192,7 +192,7 @@ fn explain(query: &str) -> Option<String> {
             "vals.sort_by(|a, b| a.partial_cmp(b).unwrap());  // NaN panics here",
         ),
         "PL016" => (
-            "A `static mut` touched from a thread::scope or par_map_indexed \
+            "A `static mut` touched from a thread::scope or par_map_chunks \
              worker closure is a data race the borrow checker cannot see \
              across unsafe blocks — and the race reaches across crates when \
              the worker calls a helper that touches it transitively. The \

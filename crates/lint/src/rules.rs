@@ -157,7 +157,7 @@ pub fn all() -> Vec<Rule> {
             name: "float-reduction-order",
             severity: Severity::Deny,
             describes: "float accumulation across thread or channel boundaries must \
-                        merge in index order, not arrival order (par_map_indexed idiom)",
+                        merge in index order, not arrival order (par_map_chunks idiom)",
             // Computed by the determinism pass over parsed fn bodies.
             check: no_per_file_check,
         },
@@ -194,7 +194,7 @@ pub fn all() -> Vec<Rule> {
             name: "shared-state-escape",
             severity: Severity::Deny,
             describes: "static mut (non-atomic shared mutable state) reachable from \
-                        thread::scope/par_map_indexed worker closures, directly or \
+                        thread::scope/par_map_chunks worker closures, directly or \
                         through the cross-crate call graph",
             // Computed over the whole-workspace call graph at assembly.
             check: no_per_file_check,

@@ -308,8 +308,8 @@ fn pl012_fires_on_arrival_order_float_reduction() {
 }
 
 #[test]
-fn pl012_exempts_the_par_map_indexed_idiom() {
-    let src = "pub fn par_map_indexed_total(rx: &std::sync::mpsc::Receiver<f64>) -> f64 {\n\
+fn pl012_exempts_the_par_map_chunks_idiom() {
+    let src = "pub fn par_map_chunks_total(rx: &std::sync::mpsc::Receiver<f64>) -> f64 {\n\
                    let mut sum = 0.0;\n\
                    while let Ok(x) = rx.recv() {\n\
                        sum += x;\n\

@@ -259,6 +259,40 @@ fn shared_state_escape_catches_direct_and_transitive_bugs() {
 }
 
 #[test]
+fn shared_state_escape_fires_through_both_engine_entry_points() {
+    // Each chunk closure handed to `ppatc::eval`'s map functions runs on
+    // a pool worker, so bumping a static mut inside one is a data race.
+    let ws = Scratch::new(&[(
+        "crates/core/src/lib.rs",
+        "static mut CALLS: u64 = 0;\n\
+         pub fn bug_engine(n: usize, budget: &RunBudget) {\n\
+         \x20   let _ = par_map_chunks(n, 2, budget, |s, e| {\n\
+         \x20       unsafe { CALLS += 1 };\n\
+         \x20       vec![0.0; e - s]\n\
+         \x20   });\n\
+         }\n\
+         pub fn bug_journaled(n: usize, budget: &RunBudget) {\n\
+         \x20   let _ = ppatc::eval::par_map_chunks_journaled(n, 2, budget, None, |s, e| {\n\
+         \x20       unsafe { CALLS += 1 };\n\
+         \x20       vec![0.0; e - s]\n\
+         \x20   });\n\
+         }\n",
+    )]);
+    let report = ws.lint(false);
+    let hits = with_code(&report, "PL016");
+    assert_eq!(
+        hits.len(),
+        2,
+        "a touch inside either engine's chunk closure must fire: {:?}",
+        report.diagnostics
+    );
+    assert!(
+        hits.iter().all(|d| d.message.contains("CALLS")),
+        "each finding names the shared state: {hits:?}"
+    );
+}
+
+#[test]
 fn shared_state_untouched_by_workers_is_clean() {
     // The same static mut, but only ever touched outside worker closures.
     let ws = Scratch::new(&[(

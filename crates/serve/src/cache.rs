@@ -11,28 +11,26 @@
 //!
 //! # Crash-safe warm-cache recovery
 //!
-//! A [`CacheJournal`] persists every insert as one appended-and-flushed
-//! line in the PR 5 checkpoint idiom (`ppatc::checkpoint`): a fingerprinted
-//! header naming the cache geometry, then hex bit-exact `(key, response)`
-//! entries. Because the file is append-only and flushed per entry, the only
-//! damage a `kill -9` can cause is a torn final line — recovery skips it at
-//! the cost of that one entry. A malformed line *before* the tail cannot be
-//! produced by a tear, so it is typed corruption and recovery refuses
-//! rather than silently serving a spliced cache. On recovery the journal is
-//! compacted: entries are replayed through the same FIFO eviction the live
-//! cache uses, then the file is rewritten with only the survivors, so the
-//! journal stays proportional to the cache bound across any number of
-//! restarts. A restarted server answers previously cached queries from the
-//! recovered warm path byte-identically — the journal stores the exact
-//! response bytes the first evaluation rendered.
+//! The cache can persist every insert through a [`LineJournal`], the
+//! append-only file behind run checkpoints too: a fingerprinted header
+//! naming the cache geometry, then one hex bit-exact `(key, response)`
+//! entry line per insert, flushed whole. The journal's tear policy
+//! applies: a torn final line (what a `kill -9` mid-append leaves) costs
+//! that one entry, and a malformed line *before* the tail is typed
+//! corruption, so recovery refuses rather than silently serving a spliced
+//! cache. On recovery the journal is compacted: entries are replayed
+//! through the same FIFO eviction the live cache uses, then the file is
+//! rewritten with only the survivors, so the journal stays proportional to
+//! the cache bound across any number of restarts. A restarted server
+//! answers previously cached queries from the recovered warm path
+//! byte-identically — the journal stores the exact response bytes the
+//! first evaluation rendered.
 
 use crate::health::ServerHealth;
+use ppatc::checkpoint::LineJournal;
 use ppatc::PpatcError;
-use ppatc_units::rng::SplitMix64;
 use std::collections::{HashMap, VecDeque};
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, OnceLock};
 
@@ -69,7 +67,7 @@ pub struct ResponseCache {
     per_shard_capacity: usize,
     /// Write-through journal, attached once after recovery (or never, for
     /// a memory-only cache).
-    journal: OnceLock<CacheJournal>,
+    journal: OnceLock<LineJournal>,
 }
 
 /// Locks a shard, recovering from poisoning: a panicking cache user cannot
@@ -114,7 +112,7 @@ impl ResponseCache {
     /// when full. Re-inserting an existing key overwrites in place (the
     /// value is identical by construction — evaluation is deterministic).
     ///
-    /// Returns `false` when an attached [`CacheJournal`] failed to persist
+    /// Returns `false` when an attached journal failed to persist
     /// the entry — the cache itself is still updated and serving, the
     /// entry just will not survive a restart; callers surface the failure
     /// in [`ServerHealth::cache_journal_failures`].
@@ -124,7 +122,7 @@ impl ResponseCache {
             return true; // already present: journaled by its first insert
         }
         match self.journal.get() {
-            Some(journal) => journal.append(key, response).is_ok(),
+            Some(journal) => journal.append(entry_line(key, response)).is_ok(),
             None => true,
         }
     }
@@ -187,34 +185,17 @@ impl ResponseCache {
 /// corruption, not data.
 const MAX_ENTRY_BYTES: usize = crate::protocol::MAX_FRAME_BYTES;
 
-/// Seed for the journal-header fingerprint (the SplitMix64 golden-gamma
-/// constant, same idiom as `ppatc::checkpoint`).
-const FINGERPRINT_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// One fold step of the header fingerprint.
-fn fold(acc: u64, word: u64) -> u64 {
-    let mut s = SplitMix64::new(acc ^ word);
-    s.next_u64()
-}
-
-/// Fingerprint of the cache geometry: a journal written by a cache with a
-/// different shard count or capacity replays into a different eviction
-/// state, so recovery refuses it.
-fn geometry_fingerprint(shards: usize, per_shard_capacity: usize) -> u64 {
-    let mut acc = FINGERPRINT_SEED;
-    for b in "ppatc-cache".bytes() {
-        acc = fold(acc, u64::from(b));
-    }
-    acc = fold(acc, shards as u64);
-    acc = fold(acc, per_shard_capacity as u64);
-    acc
-}
+/// How the cache's [`LineJournal`] names itself in errors.
+const NOUN: &str = "cache journal";
 
 /// The exact header line a journal with this geometry writes and expects.
+/// The fingerprint covers the geometry because a journal written by a
+/// cache with a different shard count or capacity replays into a different
+/// eviction state, so recovery refuses it.
 fn header_line(shards: usize, per_shard_capacity: usize) -> String {
     format!(
         "ppatc-cache-journal v1 shards={shards} capacity={per_shard_capacity} fingerprint={:016x}",
-        geometry_fingerprint(shards, per_shard_capacity)
+        LineJournal::fingerprint("ppatc-cache", [shards as u64, per_shard_capacity as u64])
     )
 }
 
@@ -244,185 +225,37 @@ fn hex_decode(hex: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Wraps an I/O failure on the journal file as a [`PpatcError::Checkpoint`]
-/// (the cache journal reuses the checkpoint error taxonomy — it *is* a
-/// checkpoint of the warm path).
-fn journal_error(path: &Path, action: &str, e: &std::io::Error) -> PpatcError {
-    PpatcError::Checkpoint {
-        detail: format!("could not {action} cache journal {}: {e}", path.display()),
-    }
+/// The `e <klen> <vlen> <hexkey> <hexval>` journal line of one entry.
+fn entry_line(key: &str, response: &str) -> String {
+    format!(
+        "e {} {} {} {}",
+        key.len(),
+        response.len(),
+        hex_encode(key.as_bytes()),
+        hex_encode(response.as_bytes())
+    )
 }
 
-/// What parsing one journal body line produced.
-enum EntryLine {
-    /// A complete, well-formed `(key, response)` entry.
-    Entry(String, String),
-    /// The line does not parse. At the tail this is a torn write (skipped);
-    /// anywhere else it is corruption (recovery refuses).
-    Malformed,
-}
-
-/// Parses one `e <klen> <vlen> <hexkey> <hexval>` entry line. Both length
-/// words are byte counts and must match their hex runs exactly — a tear at
-/// any point (including exactly between tokens) leaves a line that fails
-/// this parse.
-fn parse_entry_line(line: &str) -> EntryLine {
+/// Parses one entry line; `None` when malformed. Both length words are
+/// byte counts and must match their hex runs exactly — a tear at any point
+/// (including exactly between tokens) leaves a line that fails this parse.
+fn parse_entry_line(line: &str) -> Option<(String, String)> {
     let mut toks = line.split_ascii_whitespace();
     if toks.next() != Some("e") {
-        return EntryLine::Malformed;
+        return None;
     }
-    let Some(klen) = toks.next().and_then(|t| t.parse::<usize>().ok()) else {
-        return EntryLine::Malformed;
-    };
-    let Some(vlen) = toks.next().and_then(|t| t.parse::<usize>().ok()) else {
-        return EntryLine::Malformed;
-    };
+    let klen = toks.next()?.parse::<usize>().ok()?;
+    let vlen = toks.next()?.parse::<usize>().ok()?;
     if klen > MAX_ENTRY_BYTES || vlen > MAX_ENTRY_BYTES {
-        return EntryLine::Malformed;
+        return None;
     }
-    let (Some(hexkey), Some(hexval)) = (toks.next(), toks.next()) else {
-        return EntryLine::Malformed;
-    };
+    let (hexkey, hexval) = (toks.next()?, toks.next()?);
     if toks.next().is_some() || hexkey.len() != klen * 2 || hexval.len() != vlen * 2 {
-        return EntryLine::Malformed;
+        return None;
     }
-    let (Some(key), Some(value)) = (hex_decode(hexkey), hex_decode(hexval)) else {
-        return EntryLine::Malformed;
-    };
-    match (String::from_utf8(key), String::from_utf8(value)) {
-        (Ok(k), Ok(v)) => EntryLine::Entry(k, v),
-        _ => EntryLine::Malformed,
-    }
-}
-
-/// An append-only, crash-safe journal of cache inserts. Construct through
-/// [`try_recover_cache`]; the server writes through it on every fresh
-/// insert.
-pub struct CacheJournal {
-    path: PathBuf,
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl core::fmt::Debug for CacheJournal {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("CacheJournal")
-            .field("path", &self.path)
-            .finish_non_exhaustive()
-    }
-}
-
-impl CacheJournal {
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one entry as a single flushed line.
-    ///
-    /// # Errors
-    ///
-    /// [`PpatcError::Checkpoint`] when the append or flush fails; the
-    /// caller keeps serving and counts the failure in health.
-    #[must_use = "this returns a Result that must be handled"]
-    pub fn append(&self, key: &str, response: &str) -> Result<(), PpatcError> {
-        let line = format!(
-            "e {} {} {} {}\n",
-            key.len(),
-            response.len(),
-            hex_encode(key.as_bytes()),
-            hex_encode(response.as_bytes())
-        );
-        let mut writer = match self.writer.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.flush())
-            .map_err(|e| journal_error(&self.path, "append to", &e))
-    }
-}
-
-/// Reads every entry out of an existing journal file. Returns the entries
-/// in file order. Only the *final* line may fail to parse (a torn write
-/// from a crash mid-append) — it is skipped; a malformed line anywhere
-/// before the tail is typed corruption.
-#[must_use = "this returns a Result that must be handled"]
-fn try_load_entries(
-    path: &Path,
-    shards: usize,
-    per_shard_capacity: usize,
-) -> Result<Option<Vec<(String, String)>>, PpatcError> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(journal_error(path, "open", &e)),
-    };
-    let mut lines = BufReader::new(file).lines();
-    let header = match lines.next() {
-        Some(Ok(line)) => line,
-        Some(Err(e)) => return Err(journal_error(path, "read the header of", &e)),
-        None => String::new(),
-    };
-    let expected = header_line(shards, per_shard_capacity);
-    if header != expected {
-        return Err(PpatcError::Checkpoint {
-            detail: format!(
-                "cache journal {} belongs to a different cache geometry: found header \
-                 '{header}', expected '{expected}'",
-                path.display()
-            ),
-        });
-    }
-    let mut entries = Vec::new();
-    let mut pending_malformed: Option<usize> = None;
-    for (number, line) in lines.enumerate() {
-        let line = line.map_err(|e| journal_error(path, "read", &e))?;
-        if let Some(bad) = pending_malformed {
-            // A malformed line followed by more lines cannot be a torn
-            // tail — append-and-flush tears only the last line.
-            return Err(PpatcError::Checkpoint {
-                detail: format!(
-                    "cache journal {} is corrupt: body line {} is malformed but is not \
-                     the final line — refusing to recover from a spliced or damaged \
-                     journal",
-                    path.display(),
-                    bad + 1
-                ),
-            });
-        }
-        match parse_entry_line(&line) {
-            EntryLine::Entry(k, v) => entries.push((k, v)),
-            EntryLine::Malformed => pending_malformed = Some(number),
-        }
-    }
-    Ok(Some(entries))
-}
-
-/// Rewrites the journal at `path` from scratch: header, then `entries` in
-/// order, flushed; returns the journal left open for appending.
-#[must_use = "this returns a Result that must be handled"]
-fn try_rewrite(
-    path: &Path,
-    shards: usize,
-    per_shard_capacity: usize,
-    entries: &[(String, String)],
-) -> Result<CacheJournal, PpatcError> {
-    let file = File::create(path).map_err(|e| journal_error(path, "create", &e))?;
-    let mut writer = BufWriter::new(file);
-    writer
-        .write_all(header_line(shards, per_shard_capacity).as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .map_err(|e| journal_error(path, "write the header of", &e))?;
-    let journal = CacheJournal {
-        path: path.to_path_buf(),
-        writer: Mutex::new(writer),
-    };
-    for (key, value) in entries {
-        journal.append(key, value)?;
-    }
-    Ok(journal)
+    let key = String::from_utf8(hex_decode(hexkey)?).ok()?;
+    let value = String::from_utf8(hex_decode(hexval)?).ok()?;
+    Some((key, value))
 }
 
 /// Builds a [`ResponseCache`] backed by the journal at `path`: recovers
@@ -448,19 +281,20 @@ pub fn try_recover_cache(
     let shards = shards.max(1);
     let per_shard_capacity = per_shard_capacity.max(1);
     let cache = ResponseCache::new(shards, per_shard_capacity);
-    let recovered = match try_load_entries(&path, shards, per_shard_capacity)? {
-        Some(entries) => {
-            for (key, value) in &entries {
-                cache.insert_in_memory(key, value);
-            }
-            entries.len()
-        }
-        None => 0,
-    };
-    let journal = try_rewrite(&path, shards, per_shard_capacity, &cache.entries_in_order())?;
+    let header = header_line(shards, per_shard_capacity);
+    let entries = LineJournal::try_read(&path, NOUN, "cache geometry", &header, parse_entry_line)?;
+    for (key, value) in &entries {
+        cache.insert_in_memory(key, value);
+    }
+    let survivors: Vec<String> = cache
+        .entries_in_order()
+        .iter()
+        .map(|(key, value)| entry_line(key, value))
+        .collect();
+    let journal = LineJournal::try_rewrite(path, NOUN, &header, &survivors)?;
     // A freshly constructed cache has an empty OnceLock; this cannot fail.
     let _ = cache.journal.set(journal);
-    Ok((cache, recovered))
+    Ok((cache, entries.len()))
 }
 
 #[cfg(test)]
@@ -652,7 +486,32 @@ mod tests {
         // A length word beyond MAX_FRAME_BYTES must not drive a huge
         // allocation; as a non-final line it is corruption.
         let line = format!("e {} 1 00 31", u32::MAX);
-        assert!(matches!(parse_entry_line(&line), EntryLine::Malformed));
+        assert_eq!(parse_entry_line(&line), None);
+    }
+
+    #[test]
+    fn journal_text_in_the_v1_format_recovers_and_rewrites_unchanged() {
+        // The literal pins the geometry fingerprint and the entry encoding.
+        let text = "ppatc-cache-journal v1 shards=1 capacity=4 fingerprint=0d37da8998d91cdf\n\
+                    e 1 1 61 31\n\
+                    e 8 11 6576616c20783d31 6f6b0a6c696e652074776f\n";
+        let path = journal_path("v1");
+        std::fs::write(&path, text).expect("write literal journal");
+        let (warm, recovered) = try_recover_cache(&path, 1, 4).expect("literal journal recovers");
+        assert_eq!(recovered, 2);
+        let health = ServerHealth::new();
+        assert_eq!(warm.get("a", &health).as_deref(), Some("1"));
+        assert_eq!(
+            warm.get("eval x=1", &health).as_deref(),
+            Some("ok\nline two")
+        );
+        drop(warm);
+        let back = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(
+            back, text,
+            "recovery rewrites a clean journal byte for byte"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -415,11 +415,15 @@ fn cancellation_at_random_chunk_boundaries_reports_coalesced_progress() {
         let token = ppatc::CancelToken::new();
         let budget = ppatc::RunBudget::unlimited().with_cancel(&token);
         let calls = AtomicUsize::new(0);
-        let result = ppatc::eval::try_par_map_indexed(n, jobs, &budget, |i| {
-            if calls.fetch_add(1, Ordering::Relaxed) + 1 == cancel_after {
-                token.cancel();
-            }
-            (i as f64).sqrt()
+        let result = ppatc::eval::par_map_chunks(n, jobs, &budget, |start, end| {
+            (start..end)
+                .map(|i| {
+                    if calls.fetch_add(1, Ordering::Relaxed) + 1 == cancel_after {
+                        token.cancel();
+                    }
+                    (i as f64).sqrt()
+                })
+                .collect()
         });
         let Err(PpatcError::Interrupted {
             reason,
@@ -637,9 +641,9 @@ fn an_already_expired_deadline_interrupts_before_the_first_item() {
         ),
     ] {
         let calls = AtomicUsize::new(0);
-        let result = ppatc::eval::try_par_map_indexed(512, 4, &budget, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i as f64
+        let result = ppatc::eval::par_map_chunks(512, 4, &budget, |start, end| {
+            calls.fetch_add(end - start, Ordering::Relaxed);
+            (start..end).map(|i| i as f64).collect()
         });
         let Err(PpatcError::Interrupted {
             reason,
@@ -681,11 +685,16 @@ fn cancellation_raced_from_a_second_thread_interrupts_cooperatively() {
             }
             canceller_token.cancel();
         });
-        ppatc::eval::try_par_map_indexed(n, 4, &budget, |i| {
-            first_item_seen.store(true, Ordering::Release);
-            // Keep items slow enough that the run outlives the canceller.
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            (i as f64).ln_1p()
+        ppatc::eval::par_map_chunks(n, 4, &budget, |start, end| {
+            (start..end)
+                .map(|i| {
+                    first_item_seen.store(true, Ordering::Release);
+                    // Keep items slow enough that the run outlives the
+                    // canceller.
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    (i as f64).ln_1p()
+                })
+                .collect()
         })
     });
     let Err(PpatcError::Interrupted {
@@ -713,18 +722,21 @@ fn cancellation_raced_from_a_second_thread_interrupts_cooperatively() {
 #[test]
 fn a_chunk_whose_every_item_panics_is_fully_accounted() {
     // Direct engine level: all 64 items of the run panic; the run still
-    // completes Ok with one typed WorkerPanic per slot, in index order.
+    // completes Ok with every index listed as panicked, in index order,
+    // and the first one typed as a WorkerPanic.
     let budget = ppatc::RunBudget::unlimited();
-    let slots = no_panic("all-panic sweep at 4 workers", || {
-        ppatc::eval::try_par_map_indexed::<f64, _>(64, 4, &budget, |i| {
-            panic!("injected: item {i} always panics")
+    let mapped = no_panic("all-panic sweep at 4 workers", || {
+        ppatc::eval::par_map_chunks::<f64, _>(64, 4, &budget, |start, _end| {
+            panic!("injected: chunk at {start} always panics")
         })
     })
     .expect("wholesale panics are isolated, not fatal");
-    assert_eq!(slots.len(), 64);
-    for (i, slot) in slots.iter().enumerate() {
-        assert_eq!(slot, &Err(PpatcError::WorkerPanic { index: i }));
-    }
+    assert!(mapped.values.is_empty());
+    assert_eq!(mapped.panicked, (0..64).collect::<Vec<_>>());
+    assert_eq!(
+        mapped.try_complete(),
+        Err(PpatcError::WorkerPanic { index: 0 })
+    );
 
     // Monte-Carlo level: a source that panics on every sample wipes out
     // the whole run. Even with a saturated failure budget of 1.0 the
