@@ -93,7 +93,6 @@ pub fn sweep_jobs(jobs: usize) -> Vec<CapacityPoint> {
 /// [`PpatcError::WorkerPanic`] if a capacity point panics, and
 /// [`PpatcError::Checkpoint`] on journal I/O failure or a journal recorded
 /// for a different sweep.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_sweep_supervised(
     jobs: usize,
     supervisor: &Supervisor,
@@ -175,7 +174,6 @@ pub fn render_jobs(jobs: usize) -> String {
 /// # Errors
 ///
 /// Propagates every [`try_sweep_supervised`] error.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_render_supervised(jobs: usize, supervisor: &Supervisor) -> Result<String, PpatcError> {
     Ok(format_points(&try_sweep_supervised(jobs, supervisor)?))
 }

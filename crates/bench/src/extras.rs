@@ -57,7 +57,6 @@ pub fn render_monte_carlo_jobs(jobs: usize) -> String {
 ///
 /// Propagates every [`montecarlo::try_run_supervised`] and
 /// [`montecarlo::try_sensitivity_supervised`] error.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_render_monte_carlo_supervised(
     jobs: usize,
     supervisor: &Supervisor,

@@ -93,7 +93,6 @@ impl LineJournal {
     /// [`PpatcError::Checkpoint`] on I/O failure, on a different header
     /// (the file belongs to a different `owner`, such as another run), and
     /// on a malformed line before the final one.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_read<R>(
         path: &Path,
         noun: &str,
@@ -150,7 +149,6 @@ impl LineJournal {
     /// # Errors
     ///
     /// [`PpatcError::Checkpoint`] if the file cannot be written or renamed.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_rewrite(
         path: PathBuf,
         noun: &'static str,
@@ -186,7 +184,6 @@ impl LineJournal {
     /// # Errors
     ///
     /// [`PpatcError::Checkpoint`] when the write or flush fails.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn append(&self, mut line: String) -> Result<(), PpatcError> {
         line.push('\n');
         let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
@@ -324,7 +321,6 @@ impl Journal {
     /// # Errors
     ///
     /// [`PpatcError::Checkpoint`] if the file cannot be created or written.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_create(path: impl Into<PathBuf>, spec: &JournalSpec) -> Result<Self, PpatcError> {
         Ok(Self {
             file: LineJournal::try_rewrite(path.into(), NOUN, &spec.header_line(), &[])?,
@@ -345,7 +341,6 @@ impl Journal {
     /// is malformed, or if a *complete* chunk line indexes past the end of
     /// the run — that cannot result from a torn write, so the journal
     /// belongs to some other run.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_resume(path: impl Into<PathBuf>, spec: &JournalSpec) -> Result<Self, PpatcError> {
         let path = path.into();
         let header = spec.header_line();

@@ -54,7 +54,6 @@ impl EmbodiedPipeline {
     /// Scales the final embodied carbon by `factor` — the x-axis of the
     /// Fig. 6 maps (uncertainty in C_embodied). Rejects non-positive or
     /// non-finite factors.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_with_embodied_scale(mut self, factor: f64) -> Result<Self, ValidationError> {
         check::positive("embodied_scale", factor)?;
         self.embodied_scale = factor;

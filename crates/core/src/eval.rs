@@ -120,10 +120,12 @@ impl RunBudget {
         self
     }
 
-    /// Bounds the run by a wall-clock timeout from now.
+    /// Bounds the run by a wall-clock timeout from now. A timeout too far
+    /// out for an [`Instant`] to represent sets no deadline.
     #[must_use]
-    pub fn with_deadline_in(self, timeout: Duration) -> Self {
-        self.with_deadline(Instant::now() + timeout)
+    pub fn with_deadline_in(mut self, timeout: Duration) -> Self {
+        self.deadline = Instant::now().checked_add(timeout);
+        self
     }
 
     /// Whether this budget imposes no bounds at all.
@@ -212,7 +214,6 @@ impl Supervisor {
     ///
     /// [`PpatcError::Checkpoint`] on I/O failure or a spec mismatch with an
     /// existing journal.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_open_journal(&self, spec: &JournalSpec) -> Result<Option<Journal>, PpatcError> {
         match &self.checkpoint {
             None => Ok(None),
@@ -241,7 +242,6 @@ impl<T> Mapped<T> {
     /// # Errors
     ///
     /// [`PpatcError::WorkerPanic`] naming the lowest panicked index.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_complete(self) -> Result<Vec<T>, PpatcError> {
         match self.panicked.first() {
             Some(&index) => Err(PpatcError::WorkerPanic { index }),
@@ -270,7 +270,6 @@ impl<T> Mapped<T> {
 /// # Errors
 ///
 /// [`PpatcError::Interrupted`] when the budget stops the run.
-#[must_use = "this returns a Result that must be handled"]
 pub fn par_map_chunks<T, F>(
     n: usize,
     jobs: usize,
@@ -295,7 +294,6 @@ where
 /// completed before the interrupt *are* journaled, so a resumed run skips
 /// them), [`PpatcError::Checkpoint`] when the journal cannot be written or
 /// does not match the run.
-#[must_use = "this returns a Result that must be handled"]
 pub fn par_map_chunks_journaled<T, F>(
     n: usize,
     jobs: usize,
@@ -951,5 +949,9 @@ mod tests {
         // The derived solver budget shares the deadline.
         assert!(both.solver_budget().exhausted(0));
         assert!(RunBudget::unlimited().solver_budget().is_unlimited());
+        // A timeout past the clock's range is no bound, not a panic.
+        assert!(RunBudget::unlimited()
+            .with_deadline_in(Duration::MAX)
+            .is_unlimited());
     }
 }

@@ -59,7 +59,6 @@ impl TcdpMap {
     ///
     /// Rejects yields outside `(0, 1]` (including NaN) and non-finite or
     /// non-positive lifetimes with a structured [`ValidationError`].
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_new(
         si: CarbonTrajectory,
         m3d: CarbonTrajectory,
@@ -114,7 +113,6 @@ impl TcdpMap {
     /// tCDP ratio under an optional Fig. 6b perturbation, rejecting
     /// non-positive or non-finite scale factors and invalid perturbations
     /// with a structured [`ValidationError`].
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_ratio_with(
         &self,
         embodied_scale: f64,
@@ -153,7 +151,6 @@ impl TcdpMap {
     /// an optional perturbation. `Ok(None)` means the all-Si design wins at
     /// every positive operational scale for this x; `Err` reports an
     /// invalid perturbation.
-    #[must_use = "this returns a Result that must be handled"]
     // ppatc-lint: allow(raw-unit-api) — Fig. 6 isoline axes are dimensionless scale factors
     pub fn try_isoline_y(
         &self,
@@ -214,7 +211,6 @@ impl TcdpMap {
     /// Rasterizes the ratio colormap over `[x0, x1] × [y0, y1]` as
     /// `(x, y, ratio)` triples, row-major in y. Rejects resolutions below
     /// 2×2 and empty or non-finite ranges.
-    #[must_use = "this returns a Result that must be handled"]
     // ppatc-lint: allow(raw-unit-api) — raster axes are dimensionless scale factors
     pub fn try_raster(
         &self,
@@ -230,7 +226,6 @@ impl TcdpMap {
     /// supervised twin under a default [`Supervisor`]); the grid is
     /// byte-identical to the serial raster for any worker count (every
     /// point is a pure function of its grid index).
-    #[must_use = "this returns a Result that must be handled"]
     // ppatc-lint: allow(raw-unit-api) — raster axes are dimensionless scale factors
     pub fn try_raster_jobs(
         &self,
@@ -257,7 +252,6 @@ impl TcdpMap {
     /// [`PpatcError::WorkerPanic`] if a grid point panics, and
     /// [`PpatcError::Checkpoint`] on journal I/O failure or a journal that
     /// was recorded for a different raster.
-    #[must_use = "this returns a Result that must be handled"]
     // ppatc-lint: allow(raw-unit-api) — raster axes are dimensionless scale factors
     pub fn try_raster_supervised(
         &self,

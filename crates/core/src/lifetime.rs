@@ -15,7 +15,6 @@ pub struct Lifetime(Time);
 impl Lifetime {
     /// A lifetime in (mean Gregorian) months. Rejects negative or
     /// non-finite durations.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_months(months: f64) -> Result<Self, ValidationError> {
         check::non_negative("lifetime_months", months)?;
         Ok(Self(Time::from_months(months)))
@@ -83,7 +82,6 @@ impl CarbonTrajectory {
     /// Eq. 6 busy power, a usage pattern, and the application's execution
     /// time (for tCDP). Rejects negative or non-finite carbon, power, and
     /// execution-time values.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_new(
         embodied: CarbonMass,
         operational_power: Power,
@@ -123,7 +121,6 @@ impl CarbonTrajectory {
     /// Adds a standby power drawn during the *inactive* hours of the usage
     /// pattern (see [`crate::standby`]). The paper's Eq. 6 corresponds to
     /// zero standby power. Rejects negative or non-finite powers.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_with_standby_power(mut self, standby_power: Power) -> Result<Self, ValidationError> {
         check::non_negative("standby_power", standby_power.as_watts())?;
         self.standby_power = standby_power;

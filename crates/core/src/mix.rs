@@ -56,7 +56,6 @@ impl WorkloadMix {
 
     /// Adds an application with a share of the active window. Rejects
     /// non-positive or non-finite weights.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_with(mut self, run: WorkloadRun, weight: f64) -> Result<Self, ValidationError> {
         check::positive("mix_weight", weight)?;
         self.entries.push((run, weight));
@@ -94,7 +93,6 @@ impl WorkloadMix {
 
     /// Evaluates the mix on a design. Rejects empty mixes with a
     /// structured [`ValidationError`].
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_evaluate(&self, design: &SystemDesign) -> Result<MixEvaluation, ValidationError> {
         if self.is_empty() {
             return Err(ValidationError::new("mix_len", 0.0, ">= 1 workload"));
@@ -138,7 +136,6 @@ impl WorkloadMix {
 
     /// Builds a carbon trajectory for the mix on a design, using the
     /// standard embodied pipeline and usage pattern. Rejects empty mixes.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_trajectory(
         &self,
         design: &SystemDesign,

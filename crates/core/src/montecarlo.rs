@@ -537,7 +537,6 @@ pub fn run(map: &TcdpMap, ranges: &UncertaintyRanges, n: usize, seed: u64) -> Mo
 
 /// Runs a Monte-Carlo sweep over a [`TcdpMap`]'s underlying designs,
 /// isolating per-sample failures.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_run(
     map: &TcdpMap,
     ranges: &UncertaintyRanges,
@@ -549,7 +548,6 @@ pub fn try_run(
 /// [`try_run`] sharded across `jobs` workers; byte-identical to the serial
 /// run for any worker count (each sample is a pure function of
 /// `(seed, index)` and the reduction sees ratios in index order).
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_run_jobs(
     map: &TcdpMap,
     ranges: &UncertaintyRanges,
@@ -570,7 +568,6 @@ pub fn try_run_jobs(
 /// [`MonteCarloConfig::failure_budget`], or
 /// [`PpatcError::NoSurvivingSamples`] when the budget tolerates the
 /// failures but every sample failed.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_run_with(
     source: &dyn RatioSource,
     ranges: &UncertaintyRanges,
@@ -594,7 +591,6 @@ pub fn try_run_with(
 /// [`RatioSource::tcdp_ratio`] call per index — kept as the bit-identity
 /// oracle for the batched engine: every batched entry point must agree
 /// with this byte-for-byte for any worker count.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_run_scalar(
     source: &(dyn RatioSource + Sync),
     ranges: &UncertaintyRanges,
@@ -617,7 +613,6 @@ pub fn try_run_scalar(
 /// the source is a pure function of the sample* (sources whose output
 /// depends on call order — e.g. call-counting fault injectors — should use
 /// the serial entry point).
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_run_with_jobs(
     source: &(dyn RatioSource + Sync),
     ranges: &UncertaintyRanges,
@@ -664,7 +659,6 @@ fn journal_spec(config: &MonteCarloConfig, r: &UncertaintyRanges) -> JournalSpec
 /// [`PpatcError::Interrupted`] (cancelled or past deadline; completed
 /// samples are journaled first, so `--resume` continues where it stopped)
 /// and [`PpatcError::Checkpoint`] for journal I/O or identity mismatches.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_run_supervised(
     source: &(dyn RatioSource + Sync),
     ranges: &UncertaintyRanges,
@@ -815,7 +809,6 @@ pub fn sensitivity(
 /// Variance-based sensitivity (see [`sensitivity`]), returning structured
 /// errors for invalid inputs. Non-finite sample ratios are skipped in the
 /// variance estimates.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_sensitivity(
     map: &TcdpMap,
     ranges: &UncertaintyRanges,
@@ -832,7 +825,6 @@ pub fn try_sensitivity(
 /// source always consumes exactly one draw, the frozen variants are
 /// *paired* with the base sweep: sample *i* of a frozen variant differs
 /// from base sample *i* only in the pinned source.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_sensitivity_jobs(
     map: &TcdpMap,
     ranges: &UncertaintyRanges,
@@ -857,7 +849,6 @@ pub fn try_sensitivity_jobs(
 ///
 /// Everything [`try_sensitivity_jobs`] can return, plus
 /// [`PpatcError::Interrupted`] when the budget stops a constituent sweep.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_sensitivity_supervised(
     map: &TcdpMap,
     ranges: &UncertaintyRanges,

@@ -226,7 +226,6 @@ impl Optimizer {
     /// [`PpatcError::WorkerPanic`] if a candidate evaluation panics — a
     /// partial design-space ranking would silently misreport the optimum,
     /// so unlike Monte-Carlo sampling no failure budget applies here.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_run_supervised(
         &self,
         workload: &WorkloadRun,

@@ -246,7 +246,6 @@ impl SystemDesign {
 
     /// Evaluates power/performance from raw cycle/access counts. Rejects a
     /// zero cycle count with a structured [`ValidationError`].
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_evaluate_counts(
         &self,
         cycles: u64,

@@ -42,7 +42,6 @@ impl UsagePattern {
     ///
     /// Rejects `hours_per_day` outside `(0, 24]` and negative or non-finite
     /// carbon intensities with a structured [`ValidationError`].
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_new(hours_per_day: f64, ci_use: CarbonIntensity) -> Result<Self, ValidationError> {
         check::in_open_closed("hours_per_day", hours_per_day, 0.0, 24.0, "in (0, 24]")?;
         check::non_negative("ci_use", ci_use.value())?;
@@ -78,7 +77,6 @@ impl UsagePattern {
     /// Returns a copy with the carbon intensity scaled by `factor` — the
     /// Fig. 6b CI_use uncertainty knob (×3 / ÷3). Rejects negative or
     /// non-finite factors.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_with_ci_scaled(mut self, factor: f64) -> Result<Self, ValidationError> {
         check::non_negative("ci_scale_factor", factor)?;
         self.ci_use = CarbonIntensity::new(self.ci_use.value() * factor);

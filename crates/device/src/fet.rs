@@ -64,7 +64,6 @@ impl VirtualSourceModel {
     /// Creates a sized transistor instance of this model, rejecting invalid
     /// model parameters (see [`VirtualSourceModel::validate`]) and
     /// non-positive or non-finite widths with a structured [`DeviceError`].
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_sized(self, width: Length) -> Result<Fet, DeviceError> {
         self.validate()?;
         let w = width.as_meters();

@@ -1,17 +1,16 @@
 //! The incremental analysis cache (`target/ppatc-lint.cache`).
 //!
-//! The per-file stage (lex, scan, body parse, PL001–PL005, PL010/PL012,
-//! call-graph summaries) is a pure function of one file's text, and the
-//! interprocedural findings of a file are a function of its text plus the
-//! summaries of its call-graph neighborhood. The cache persists, per
-//! file:
+//! The per-file stage (lex, scan, body parse, PL001/PL002/PL004/PL005,
+//! PL010/PL012, call-graph summaries) is a pure function of one file's
+//! text, and the interprocedural findings of a file are a function of its
+//! text plus the summaries of its call-graph neighborhood. The cache
+//! persists, per file:
 //!
 //! * the FNV-1a hash of the source text,
-//! * the pre-suppression per-file findings (everything except PL008,
-//!   PL009, and PL016, which are recomputed at every assembly),
-//! * the call-graph [`FnSummary`]s (panic sites, calls, imports, and the
-//!   concurrency facts behind PL016 — enough to rerun PL009/PL016 and
-//!   name resolution without re-parsing),
+//! * the pre-suppression per-file findings (everything except PL008 and
+//!   PL009, which are recomputed at every assembly),
+//! * the call-graph [`FnSummary`]s (panic sites, calls, and imports —
+//!   enough to rerun PL009 and name resolution without re-parsing),
 //! * the converged dimensional summaries ([`FnDim`]), including each
 //!   fn's return-value interval from the range fixed point,
 //! * the suppression directives and windows,
@@ -33,7 +32,6 @@
 //! patterns, so a warm report is byte-identical to a cold one.
 
 use crate::callgraph::{CallRef, FnSummary, PanicSite};
-use crate::concurrency::{ConcFacts, SharedSite, WorkerCall};
 use crate::diag::Diagnostic;
 use crate::source::{AllowDirective, UseItem};
 use crate::summaries::{AbsVal, FnDim};
@@ -45,7 +43,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Format version; bump on any schema change.
-const VERSION: &str = "ppatc-lint-cache v2";
+const VERSION: &str = "ppatc-lint-cache v3";
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -330,28 +328,6 @@ pub(crate) fn store(root: &Path, shape: u64, entries: &[Entry]) -> std::io::Resu
                 }
                 out.push('\n');
             }
-            for (kind, sites) in [("s", &s.conc.shared), ("w", &s.conc.worker_shared)] {
-                for site in sites {
-                    out.push_str(&format!(
-                        "shr\t{kind}\t{}\t{}\t{}\n",
-                        esc(&site.name),
-                        site.line,
-                        site.col
-                    ));
-                }
-            }
-            for c in &s.conc.worker_calls {
-                out.push_str(&format!(
-                    "wcal\t{}\t{}\t{}",
-                    c.line,
-                    c.col,
-                    u8::from(c.call.is_method)
-                ));
-                for seg in &c.call.segs {
-                    out.push_str(&format!("\t{}", esc(seg)));
-                }
-                out.push('\n');
-            }
             out.push_str(&format!(
                 "dim\t{}\t{}",
                 enc_absval(&fd.ret),
@@ -391,10 +367,6 @@ fn parse(text: &str) -> Option<CacheFile> {
     }
     let shape_line = lines.next()?;
     let shape = u64::from_str_radix(shape_line.strip_prefix("shape\t")?, 16).ok()?;
-
-    // Diagnostic identity is reconstructed from the live rule catalog, so
-    // a cache naming an unknown code is simply invalid.
-    let catalog = crate::rules::all();
 
     let mut entries: Vec<Entry> = Vec::new();
     let mut uses: Vec<UseItem> = Vec::new();
@@ -467,7 +439,9 @@ fn parse(text: &str) -> Option<CacheFile> {
                 if fields.len() != 5 {
                     return None;
                 }
-                let rule = catalog.iter().find(|r| r.code == fields[1])?;
+                // Diagnostic identity is reconstructed from the live rule
+                // catalog, so a cache naming an unknown code is invalid.
+                let rule = crate::rules::by_code(fields[1])?;
                 let entry = entries.last_mut()?;
                 entry.found.push(Diagnostic {
                     code: rule.code,
@@ -496,7 +470,6 @@ fn parse(text: &str) -> Option<CacheFile> {
                     has_self: fields[6] == "1",
                     panics: Vec::new(),
                     calls: Vec::new(),
-                    conc: ConcFacts::default(),
                     uses: uses.clone(),
                 });
             }
@@ -530,45 +503,6 @@ fn parse(text: &str) -> Option<CacheFile> {
                     .push(CallRef {
                         segs,
                         is_method: fields[1] == "1",
-                    });
-            }
-            "shr" => {
-                if fields.len() != 5 {
-                    return None;
-                }
-                let site = SharedSite {
-                    name: unesc(fields[2])?,
-                    line: fields[3].parse().ok()?,
-                    col: fields[4].parse().ok()?,
-                };
-                let conc = &mut entries.last_mut()?.summaries.last_mut()?.conc;
-                match fields[1] {
-                    "s" => conc.shared.push(site),
-                    "w" => conc.worker_shared.push(site),
-                    _ => return None,
-                }
-            }
-            "wcal" => {
-                if fields.len() < 5 {
-                    return None;
-                }
-                let mut segs = Vec::with_capacity(fields.len() - 4);
-                for f in &fields[4..] {
-                    segs.push(unesc(f)?);
-                }
-                entries
-                    .last_mut()?
-                    .summaries
-                    .last_mut()?
-                    .conc
-                    .worker_calls
-                    .push(WorkerCall {
-                        call: CallRef {
-                            segs,
-                            is_method: fields[3] == "1",
-                        },
-                        line: fields[1].parse().ok()?,
-                        col: fields[2].parse().ok()?,
                     });
             }
             "dim" => {
@@ -676,6 +610,7 @@ mod tests {
     #[test]
     fn version_mismatch_discards_cache() {
         assert!(parse("ppatc-lint-cache v0\nshape\t0\n").is_none());
+        assert!(parse("ppatc-lint-cache v2\nshape\t0\n").is_none());
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! path may cross crate boundaries.
 
 use crate::ast::{Block, Expr, Stmt};
-use crate::concurrency::{self, ConcFacts};
 use crate::rules::PANIC_MACROS;
 use crate::source::{SourceFile, UseItem};
 
@@ -71,9 +70,6 @@ pub struct FnSummary {
     /// The defining file's `use` imports (resolution context; identical
     /// for every fn of one file).
     pub uses: Vec<UseItem>,
-    /// Concurrency-relevant facts (`static mut` touches, worker-closure
-    /// calls) for the PL016 assembly pass.
-    pub conc: ConcFacts,
 }
 
 /// A PL009 finding, before it is bound to a `Rule`.
@@ -94,7 +90,6 @@ pub struct Reachability {
 /// `(index into file.fns, block)`; summaries come out aligned 1:1 with
 /// it (bodiless fns — trait signatures — have no summary).
 pub fn summarize(file: &SourceFile, bodies: &[(usize, Block)]) -> Vec<FnSummary> {
-    let statics = concurrency::static_mut_names(file);
     let mut out = Vec::new();
     for &(fi, ref block) in bodies {
         let f = &file.fns[fi];
@@ -117,7 +112,6 @@ pub fn summarize(file: &SourceFile, bodies: &[(usize, Block)]) -> Vec<FnSummary>
             panics: collector.panics,
             calls: collector.calls,
             uses: file.uses.clone(),
-            conc: concurrency::collect_facts(&statics, block),
         });
     }
     out

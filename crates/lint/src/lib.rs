@@ -7,21 +7,21 @@
 //! newtypes prevent that at the arithmetic layer; this linter enforces it at
 //! the *API* layer, alongside the workspace's panic-free and determinism
 //! invariants that clippy alone cannot see (doc-test bodies, undocumented
-//! panic contracts, missing `#[must_use]`, non-`#[non_exhaustive]` error
-//! enums, hash-order escapes, scheduler-dependent float reductions).
+//! panic contracts, non-`#[non_exhaustive]` error enums, hash-order
+//! escapes, scheduler-dependent float reductions). What rustc already
+//! rejects — dropped `Result`s, `unsafe` access to shared state — is left
+//! to the workspace's `[workspace.lints.rust]` table.
 //!
 //! Pipeline: [`lexer`] (tokens, comment/raw-string aware) → [`source`]
 //! (per-file model: items, test regions, suppressions, `use` imports) →
 //! [`parser`] (an expression/statement AST for fn bodies, parsed once per
-//! fn) → per-file rules (PL001–PL005 token rules, [`determinism`]'s
-//! PL010/PL012, [`concurrency`]'s PL017 unwind boundaries) +
-//! [`callgraph`] summaries → the serial cross-file stage: [`symbols`]
-//! (workspace symbol table and call-graph edges), [`summaries`]
-//! (interprocedural dimensional fixed point emitting PL006/PL007/PL011
-//! through [`dims`], then the [`vals`] interval fixed point emitting
-//! PL013/PL014/PL015), [`callgraph`] panic reachability (PL009 with
-//! cross-crate witness paths), [`concurrency`] shared-state escapes over
-//! the same graph (PL016), PL008 from the directives left
+//! fn) → per-file rules (PL001, PL002, PL004 and PL005 token rules,
+//! [`determinism`]'s PL010/PL012) + [`callgraph`] summaries → the serial
+//! cross-file stage: [`symbols`] (workspace symbol table and call-graph
+//! edges), [`summaries`] (interprocedural dimensional fixed point emitting
+//! PL006/PL007/PL011 through [`dims`], then the [`vals`] interval fixed
+//! point emitting PL013/PL014/PL015), [`callgraph`] panic reachability
+//! (PL009 with cross-crate witness paths), PL008 from the directives left
 //! unused — then suppression filtering and a total sort. Files are
 //! analyzed in parallel (`--jobs`); the cross-file stage is serial and
 //! deterministic, so the report is byte-identical at any worker count.
@@ -39,7 +39,6 @@
 pub mod ast;
 pub mod cache;
 pub mod callgraph;
-pub mod concurrency;
 pub mod determinism;
 pub mod diag;
 pub mod dims;
@@ -178,9 +177,6 @@ pub(crate) fn analyze_file(path: &str, src: &str) -> FileAnalysis {
     for f in determinism::check_file(&file, &bodies) {
         found.push(rules::det_finding_diag(&file.path, f));
     }
-    for f in concurrency::check_file(&bodies) {
-        found.push(rules::conc_finding_diag(&file.path, f));
-    }
     let summaries = callgraph::summarize(&file, &bodies);
     FileAnalysis {
         path: file.path.clone(),
@@ -275,12 +271,6 @@ fn assemble(mut analyses: Vec<FileAnalysis>) -> Assembled {
             &r.path, r.line, r.col, r.message,
         ));
     }
-    // PL016 over the same graph: the per-fn ConcFacts are cached, but the
-    // escape verdict depends on transitive callees, so it is recomputed
-    // every run (and excluded from the cache snapshot below).
-    for (i, f) in concurrency::check(&all_sums, &table, &edges) {
-        global.push(rules::conc_finding_diag(&all_sums[i].path, f));
-    }
     drop(table);
 
     let by_path: HashMap<&str, usize> = analyses
@@ -372,11 +362,11 @@ fn assemble(mut analyses: Vec<FileAnalysis>) -> Assembled {
 
         // Cache snapshot: per-file findings pre-suppression, minus the
         // always-recomputed assembly rules (PL008 lives in `pl008`;
-        // PL009 and PL016 depend on other files' bodies).
+        // PL009 depends on other files' bodies).
         let entry_found: Vec<Diagnostic> = a
             .found
             .iter()
-            .filter(|d| d.code != "PL009" && d.code != "PL016")
+            .filter(|d| d.code != "PL009")
             .cloned()
             .collect();
         let fsums: Vec<callgraph::FnSummary> = sums_iter.by_ref().take(counts[ai]).collect();

@@ -72,153 +72,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 /// for one rule, looked up by code (`PL006`) or name (`dimension-mismatch`).
 fn explain(query: &str) -> Option<String> {
     let rule = ppatc_lint::rules::all()
-        .into_iter()
+        .iter()
         .find(|r| r.code.eq_ignore_ascii_case(query) || r.name == query)?;
-    let (why, example) = match rule.code {
-        "PL001" => (
-            "Bare f64 parameters and returns on public APIs in unit-bearing crates \
-             reintroduce the spreadsheet failure mode the ppatc-units newtypes exist \
-             to prevent: a gCO₂e/kWh number silently meeting a pJ number.",
-            "pub fn embodied(area: f64) -> f64  // what unit is `area`?",
-        ),
-        "PL002" => (
-            "Library code must never panic on model inputs: the evaluation pipeline \
-             promises per-sample fault isolation, and a stray unwrap converts a bad \
-             sample into a dead sweep. Documented `# Panics` contracts are the only \
-             sanctioned exception.",
-            "let v = table.get(key).unwrap();  // in a lib fn without `# Panics`",
-        ),
-        "PL003" => (
-            "try_* is this workspace's fallible-API naming convention; a try_ fn \
-             that does not return Result (or whose Result can be silently dropped) \
-             defeats the caller-side error handling the name advertises.",
-            "pub fn try_solve(&self) -> f64  // not a Result, no #[must_use]",
-        ),
-        "PL004" => (
-            "A physical constant with no unit comment is unreviewable: 3.6e6 could \
-             be J/kWh or a typo. Underscored plain decimals (1_000_000.0) are the \
-             same hazard at the same magnitude, so both spellings need a same-line \
-             `// unit` comment or a move into a named const.",
-            "let lifetime = 94_608_000.0;  // is that seconds? months? cycles?",
-        ),
-        "PL005" => (
-            "Public error enums grow variants as the model stack grows; without \
-             #[non_exhaustive], every new failure mode is a semver break for \
-             downstream matchers.",
-            "pub enum SolverError { Diverged }  // missing #[non_exhaustive]",
-        ),
-        "PL006" => (
-            "The dimensional dataflow pass tracks units through fn bodies, seeded \
-             from the ppatc-units registry (typed constructors/accessors) and \
-             unit-suffixed names (area_mm2, delay_ns). Adding or comparing values \
-             of different dimensions — or the same dimension at provably different \
-             scales — is exactly the class of bug Eq. 2's carbon accounting cannot \
-             tolerate.",
-            "if chip_area_mm2 > wafer_area_m2 { .. }  // mm² compared against m²",
-        ),
-        "PL007" => (
-            "Round-tripping a quantity through raw f64 at a different unit scale \
-             (as_picojoules into from_joules) is a silent 1e12× error the type \
-             system cannot see because both sides are f64 at the boundary. \
-             Multiplying by an explicit literal rescale is tracked and stays clean.",
-            "Energy::from_joules(e.as_picojoules())  // off by 1e12",
-        ),
-        "PL008" => (
-            "A suppression that no longer suppresses anything is a stale claim \
-             about the code; it hides future findings on its line window and \
-             misleads reviewers about which invariants are waived. Directives in \
-             doc comments are prose, never suppressions.",
-            "// ppatc-lint: allow(magic-constant) — above a line that is now clean",
-        ),
-        "PL009" => (
-            "A try_* fn advertises total, caller-handled failure; if its call \
-             graph can still reach panic!/unwrap/expect with no `# Panics` \
-             contract anywhere on the path, the Result is a false promise. The \
-             pass resolves calls to workspace fns by unique name and reports a \
-             witness path.",
-            "pub fn try_fit(..) -> Result<..> { grid.nearest(x) } // nearest() unwraps",
-        ),
-        "PL010" => (
-            "std's HashMap/HashSet iterate in a per-process randomized order. \
-             Letting that order reach a Vec, String, accumulator, or output \
-             stream bakes scheduler noise into results the workspace promises \
-             are byte-identical across runs, worker counts, and cache hits. \
-             Sort before the sink, or collect into a BTree container.",
-            "for (k, v) in &totals { out.push_str(k); }  // totals is a HashMap",
-        ),
-        "PL011" => (
-            "Model outputs must be a pure function of model inputs. An Instant \
-             or SystemTime reading that flows into a ppatc-units quantity makes \
-             a carbon or energy figure depend on when the run happened — \
-             deadlines and telemetry are fine, but never inside a result. The \
-             interprocedural dataflow tracks wall-clock taint through helper \
-             fns and across crates.",
-            "Energy::from_joules(t0.elapsed().as_secs_f64() * p)  // wall clock in a result",
-        ),
-        "PL012" => (
-            "Float addition is not associative: accumulating partial sums in \
-             thread or channel arrival order makes the low-order bits a \
-             function of the scheduler. The blessed idiom is par_map_chunks — \
-             reduce per-chunk, send (index, partial), merge in index order — \
-             which this rule exempts by name.",
-            "while let Ok(x) = rx.recv() { sum += x; }  // arrival-order reduction",
-        ),
-        "PL013" => (
-            "The interval pass tracks per-variable [lo, hi] ranges, seeded from \
-             literals, typed-unit accessors, and guard conditions, widened at \
-             loop back-edges, and propagated across fn boundaries through \
-             return-range summaries. A division whose divisor's interval \
-             provably admits zero yields ±inf or NaN that then flows into \
-             carbon totals unnoticed — guard with an ordered comparison \
-             (`if d > 0.0`) and return a typed error on the other branch.",
-            "let yield_frac = good as f64 / dies as f64;  // dies may be 0",
-        ),
-        "PL014" => (
-            "sqrt, ln, log10, and non-integer powf return NaN for negative \
-             arguments, and NaN propagates through every downstream sum \
-             without a panic — the worst failure mode for a model that \
-             promises reproducible totals. Clamp or guard the argument's \
-             range first; the pass exempts arguments it can prove \
-             non-negative (accessor results, squared values, abs).",
-            "let sigma = variance.sqrt();  // variance's interval reaches below 0",
-        ),
-        "PL015" => (
-            "`x == y` on floats is false for NaN even when both are NaN, and \
-             partial_cmp().unwrap() panics on it; both are latent landmines \
-             unless the operands are provably NaN-free. The interval pass \
-             proves NaN-freeness through guards (is_nan, is_finite, ordered \
-             comparisons) and accessor summaries; where it cannot, prefer \
-             f64::total_cmp or guard explicitly.",
-            "vals.sort_by(|a, b| a.partial_cmp(b).unwrap());  // NaN panics here",
-        ),
-        "PL016" => (
-            "A `static mut` touched from a thread::scope or par_map_chunks \
-             worker closure is a data race the borrow checker cannot see \
-             across unsafe blocks — and the race reaches across crates when \
-             the worker calls a helper that touches it transitively. The \
-             pass follows the whole-workspace call graph from every worker \
-             closure and reports a witness path to the shared state.",
-            "scope.spawn(|| unsafe { HITS += 1 });  // HITS is a static mut",
-        ),
-        "PL017" => (
-            "catch_unwind returning Err leaves everything the closure was \
-             mutating in a half-written state; silently reusing that state \
-             afterwards is how one poisoned sample corrupts a whole sweep. \
-             Wrapping the closure in AssertUnwindSafe is the workspace's \
-             explicit acknowledgment that the captured state is reset or \
-             discarded on unwind.",
-            "catch_unwind(|| { acc.push(run()?); })  // acc is half-written on panic",
-        ),
-        _ => ("", ""),
-    };
-    let mut out = String::new();
-    out.push_str(&format!(
+    Some(format!(
         "{} {} ({})\n\n{}\n\nWhy it matters:\n  {}\n\nExample finding:\n  {}\n\n\
          Suppression (own line or the line above the finding):\n  \
          // ppatc-lint: allow({}) — <justification naming the reviewed invariant>\n",
-        rule.code, rule.name, rule.severity, rule.describes, why, example, rule.name
-    ));
-    Some(out)
+        rule.code, rule.name, rule.severity, rule.describes, rule.why, rule.example, rule.name
+    ))
 }
 
 fn main() -> ExitCode {

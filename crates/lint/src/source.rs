@@ -35,9 +35,6 @@ pub struct FnItem {
     pub line: u32,
     /// Column of the `fn` keyword.
     pub col: u32,
-    /// Outer attributes, as flattened text (e.g. `must_use`,
-    /// `cfg(feature = "x")`).
-    pub attrs: Vec<String>,
     /// Concatenated outer doc-comment text (`///` and `/** */`).
     pub doc: String,
     /// Parsed parameters.
@@ -323,7 +320,7 @@ impl SourceFile {
                 (TokenKind::Ident, "fn") => {
                     let is_test_item = attrs_mark_test(&pending_attrs);
                     fn_cis.push(i);
-                    let item = self.parse_fn(&mut i, pending_pub, &pending_attrs, &pending_doc);
+                    let item = self.parse_fn(&mut i, pending_pub, &pending_doc);
                     if is_test_item {
                         if let Some((a, b)) = self.fn_line_span(&item) {
                             test_ranges.push((a, b));
@@ -577,7 +574,7 @@ impl SourceFile {
     /// Parses a fn item starting with `i` at the `fn` keyword; leaves `i`
     /// at the first token after the signature (body is *not* skipped, so
     /// nested items are scanned too).
-    fn parse_fn(&self, i: &mut usize, is_pub: bool, attrs: &[String], doc: &str) -> FnItem {
+    fn parse_fn(&self, i: &mut usize, is_pub: bool, doc: &str) -> FnItem {
         let fn_tok_line;
         let fn_tok_col;
         {
@@ -646,7 +643,6 @@ impl SourceFile {
             is_pub,
             line: fn_tok_line,
             col: fn_tok_col,
-            attrs: attrs.to_vec(),
             doc: doc.to_string(),
             params,
             ret,

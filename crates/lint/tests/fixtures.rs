@@ -99,28 +99,6 @@ fn pl002_exempts_harness_crates() {
 }
 
 // -----------------------------------------------------------------------
-// PL003: must-use-try
-// -----------------------------------------------------------------------
-
-#[test]
-fn pl003_fires_on_try_fn_without_must_use() {
-    let src = "pub fn try_build() -> Result<u32, String> { Ok(1) }\n";
-    assert_eq!(codes("crates/device/src/x.rs", src), vec!["PL003"]);
-}
-
-#[test]
-fn pl003_fires_on_try_fn_not_returning_result() {
-    let src = "#[must_use = \"handle it\"]\npub fn try_build() -> u32 { 1 }\n";
-    assert_eq!(codes("crates/device/src/x.rs", src), vec!["PL003"]);
-}
-
-#[test]
-fn pl003_accepts_must_use_result_try_fn() {
-    let src = "#[must_use = \"handle it\"]\npub fn try_build() -> Result<u32, String> { Ok(1) }\n";
-    assert!(codes("crates/device/src/x.rs", src).is_empty());
-}
-
-// -----------------------------------------------------------------------
 // PL004: magic-constant
 // -----------------------------------------------------------------------
 

@@ -1,8 +1,7 @@
-//! Seeded-bug fixtures for the interval and concurrency passes
-//! (PL013–PL017): each rule must catch every bug planted here, the
-//! widening protocol must terminate on growing loop accumulators, and the
-//! passes must analyze every fn body in the real workspace without
-//! panicking.
+//! Seeded-bug fixtures for the interval pass (PL013–PL015): each rule
+//! must catch every bug planted here, the widening protocol must
+//! terminate on growing loop accumulators, and the pass must analyze
+//! every fn body in the real workspace without panicking.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -208,163 +207,6 @@ fn nan_comparison_catches_seeded_bugs() {
         .all(|d| d.severity == ppatc_lint::Severity::Warn));
 }
 
-// --- PL016: shared state reachable from workers ------------------------------
-
-const SHARED_DIRECT: &str = "static mut HITS: u64 = 0;\n\
-     pub fn bug_direct(n: u64) {\n\
-     \x20   std::thread::scope(|s| {\n\
-     \x20       let mut k = 0;\n\
-     \x20       while k < n {\n\
-     \x20           s.spawn(|| unsafe { HITS += 1 });\n\
-     \x20           k += 1;\n\
-     \x20       }\n\
-     \x20   });\n\
-     }\n";
-
-const SHARED_HELPER: &str = "static mut COUNTER: u64 = 0;\n\
-     pub fn bump() {\n\
-     \x20   unsafe { COUNTER += 1 };\n\
-     }\n";
-
-const SHARED_REMOTE_WORKER: &str = "pub fn bug_transitive() {\n\
-     \x20   std::thread::scope(|s| {\n\
-     \x20       s.spawn(|| ppatc_fab::bump());\n\
-     \x20   });\n\
-     }\n";
-
-#[test]
-fn shared_state_escape_catches_direct_and_transitive_bugs() {
-    let ws = Scratch::new(&[
-        ("crates/fab/src/lib.rs", SHARED_HELPER),
-        (
-            "crates/core/src/lib.rs",
-            &format!("{SHARED_DIRECT}{SHARED_REMOTE_WORKER}"),
-        ),
-    ]);
-    let report = ws.lint(false);
-    let hits = with_code(&report, "PL016");
-    assert_eq!(
-        hits.len(),
-        2,
-        "the in-closure touch and the cross-crate worker call must both \
-         fire: {:?}",
-        report.diagnostics
-    );
-    assert!(hits.iter().all(|d| d.path == "crates/core/src/lib.rs"));
-    assert!(
-        hits.iter().any(|d| d.message.contains("COUNTER")),
-        "the transitive finding must name the shared state it reaches: {:?}",
-        hits
-    );
-}
-
-#[test]
-fn shared_state_escape_fires_through_both_engine_entry_points() {
-    // Each chunk closure handed to `ppatc::eval`'s map functions runs on
-    // a pool worker, so bumping a static mut inside one is a data race.
-    let ws = Scratch::new(&[(
-        "crates/core/src/lib.rs",
-        "static mut CALLS: u64 = 0;\n\
-         pub fn bug_engine(n: usize, budget: &RunBudget) {\n\
-         \x20   let _ = par_map_chunks(n, 2, budget, |s, e| {\n\
-         \x20       unsafe { CALLS += 1 };\n\
-         \x20       vec![0.0; e - s]\n\
-         \x20   });\n\
-         }\n\
-         pub fn bug_journaled(n: usize, budget: &RunBudget) {\n\
-         \x20   let _ = ppatc::eval::par_map_chunks_journaled(n, 2, budget, None, |s, e| {\n\
-         \x20       unsafe { CALLS += 1 };\n\
-         \x20       vec![0.0; e - s]\n\
-         \x20   });\n\
-         }\n",
-    )]);
-    let report = ws.lint(false);
-    let hits = with_code(&report, "PL016");
-    assert_eq!(
-        hits.len(),
-        2,
-        "a touch inside either engine's chunk closure must fire: {:?}",
-        report.diagnostics
-    );
-    assert!(
-        hits.iter().all(|d| d.message.contains("CALLS")),
-        "each finding names the shared state: {hits:?}"
-    );
-}
-
-#[test]
-fn shared_state_untouched_by_workers_is_clean() {
-    // The same static mut, but only ever touched outside worker closures.
-    let ws = Scratch::new(&[(
-        "crates/core/src/lib.rs",
-        "static mut SETUP_DONE: bool = false;\n\
-         pub fn init() {\n\
-         \x20   unsafe { SETUP_DONE = true };\n\
-         }\n\
-         pub fn fan_out(xs: &[f64]) -> f64 {\n\
-         \x20   let mut total = 0.0;\n\
-         \x20   std::thread::scope(|_s| {\n\
-         \x20       total = xs.len() as f64;\n\
-         \x20   });\n\
-         \x20   total\n\
-         }\n",
-    )]);
-    let report = ws.lint(false);
-    assert!(
-        with_code(&report, "PL016").is_empty(),
-        "no worker ever reaches SETUP_DONE: {:?}",
-        report.diagnostics
-    );
-}
-
-// --- PL017: unwind boundaries -------------------------------------------------
-
-#[test]
-fn unwind_boundary_catches_seeded_bugs() {
-    let ws = Scratch::new(&[(
-        "crates/core/src/lib.rs",
-        "pub fn bug_push_across_unwind(xs: &[f64]) -> Vec<f64> {\n\
-         \x20   let mut acc = Vec::new();\n\
-         \x20   for x in xs {\n\
-         \x20       let _ = std::panic::catch_unwind(|| acc.push(*x));\n\
-         \x20   }\n\
-         \x20   acc\n\
-         }\n\
-         pub fn bug_assign_across_unwind(n: u64) -> u64 {\n\
-         \x20   let mut total = 0;\n\
-         \x20   let _ = std::panic::catch_unwind(|| {\n\
-         \x20       total += n;\n\
-         \x20   });\n\
-         \x20   total\n\
-         }\n\
-         pub fn ok_acknowledged(n: u64) -> u64 {\n\
-         \x20   let mut total = 0;\n\
-         \x20   let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {\n\
-         \x20       total += n;\n\
-         \x20   }));\n\
-         \x20   total\n\
-         }\n\
-         pub fn ok_local_only() {\n\
-         \x20   let _ = std::panic::catch_unwind(|| {\n\
-         \x20       let mut local = Vec::new();\n\
-         \x20       local.push(1);\n\
-         \x20   });\n\
-         }\n",
-    )]);
-    let report = ws.lint(false);
-    let hits = with_code(&report, "PL017");
-    assert_eq!(
-        hits.len(),
-        2,
-        "both unacknowledged captures must fire; AssertUnwindSafe and \
-         closure-local state must not: {:?}",
-        report.diagnostics
-    );
-    assert!(hits
-        .iter()
-        .all(|d| d.severity == ppatc_lint::Severity::Warn));
-}
-
 // --- widening, caching, and total-workspace robustness ------------------------
 
 #[test]
@@ -406,22 +248,13 @@ fn widening_terminates_on_growing_accumulators() {
 }
 
 #[test]
-fn interval_and_concurrency_findings_survive_a_warm_cache() {
-    let files: &[(&str, &str)] = &[
-        ("crates/fab/src/lib.rs", SHARED_HELPER),
-        (
-            "crates/core/src/lib.rs",
-            "pub fn bug_div(x: f64) -> f64 {\n\
-             \x20   1.0 / x.max(0.0)\n\
-             }\n\
-             pub fn bug_worker() {\n\
-             \x20   std::thread::scope(|s| {\n\
-             \x20       s.spawn(|| ppatc_fab::bump());\n\
-             \x20   });\n\
-             }\n",
-        ),
-    ];
-    let ws = Scratch::new(files);
+fn interval_findings_survive_a_warm_cache() {
+    let ws = Scratch::new(&[(
+        "crates/core/src/lib.rs",
+        "pub fn bug_div(x: f64) -> f64 {\n\
+         \x20   1.0 / x.max(0.0)\n\
+         }\n",
+    )]);
     let cold = ws.lint(true);
     let warm = ws.lint(true);
     assert!(warm.cache_hits > 0, "second run must hit the cache");
@@ -435,11 +268,9 @@ fn interval_and_concurrency_findings_survive_a_warm_cache() {
     assert_eq!(
         render(&cold),
         render(&warm),
-        "cached PL013 and recomputed PL016 findings must both be \
-         byte-identical on a warm run"
+        "cached PL013 findings must be byte-identical on a warm run"
     );
     assert_eq!(with_code(&cold, "PL013").len(), 1);
-    assert_eq!(with_code(&cold, "PL016").len(), 1);
 }
 
 #[test]

@@ -33,7 +33,6 @@ fn rule_catalog_is_stable() {
         vec![
             ("PL001", "raw-unit-api"),
             ("PL002", "panic-in-lib"),
-            ("PL003", "must-use-try"),
             ("PL004", "magic-constant"),
             ("PL005", "non-exhaustive-error"),
             ("PL006", "dimension-mismatch"),
@@ -46,10 +45,59 @@ fn rule_catalog_is_stable() {
             ("PL013", "possible-div-by-zero"),
             ("PL014", "float-domain-error"),
             ("PL015", "nan-unsafe-comparison"),
-            ("PL016", "shared-state-escape"),
-            ("PL017", "unwind-boundary"),
         ]
     );
+}
+
+/// The lines of the `[name]` table in a Cargo manifest, up to the next
+/// table header.
+fn toml_table<'a>(manifest: &'a str, name: &str) -> Vec<&'a str> {
+    let header = format!("[{name}]");
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .collect()
+}
+
+/// The compiler checks that replaced the retired rules (PL003 must-use,
+/// PL016 shared `static mut`, PL017 unwind-unsafe captures) must stay
+/// switched on: the root manifest denies `unsafe_code` and
+/// `unused_must_use`, and every workspace member inherits that table.
+#[test]
+fn every_member_inherits_the_workspace_rustc_denials() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    let read = |p: &Path| std::fs::read_to_string(p).expect("readable manifest");
+    let root_manifest = read(&root.join("Cargo.toml"));
+    let lints = toml_table(&root_manifest, "workspace.lints.rust");
+    for denial in ["unsafe_code = \"deny\"", "unused_must_use = \"deny\""] {
+        assert!(
+            lints.contains(&denial),
+            "[workspace.lints.rust] must contain `{denial}`, has {lints:?}"
+        );
+    }
+    let mut manifests = vec![root.join("Cargo.toml")];
+    let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("crates dir")
+        .filter_map(Result::ok)
+        .map(|e| e.path().join("Cargo.toml"))
+        .filter(|p| p.is_file())
+        .collect();
+    crates.sort();
+    assert!(
+        crates.len() >= 13,
+        "expected every member crate: {crates:?}"
+    );
+    manifests.extend(crates);
+    for manifest in manifests {
+        assert!(
+            toml_table(&read(&manifest), "lints").contains(&"workspace = true"),
+            "{} must set `[lints] workspace = true`",
+            manifest.display()
+        );
+    }
 }
 
 /// The parallel per-file stage must not change the report: serial and

@@ -154,7 +154,6 @@ impl AdmissionQueue {
     ///
     /// [`AdmitError::Draining`] once draining,
     /// [`AdmitError::Overloaded`] when the queue is at capacity.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_admit(&self, job: Job) -> Result<(), AdmitError> {
         let mut state = lock_unpoisoned(&self.state);
         if state.draining {

@@ -271,7 +271,6 @@ fn parse_entry_line(line: &str) -> Option<(String, String)> {
 /// cache geometry, or a malformed line before the tail (both mean the
 /// journal does not belong to this server and silently dropping it would
 /// hide corruption).
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_recover_cache(
     path: impl Into<PathBuf>,
     shards: usize,

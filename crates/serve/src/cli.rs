@@ -12,7 +12,7 @@
 
 use ppatc::ValidationError;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Normalizes one CLI operand: trims surrounding ASCII whitespace and
 /// strips at most one leading `+` sign (so `+8` and `8` are the same
@@ -41,7 +41,6 @@ fn normalize(raw: &str) -> Option<&str> {
 /// # Errors
 ///
 /// [`ValidationError`] on a missing, empty, malformed, or zero operand.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_parse_count(field: &'static str, raw: Option<&str>) -> Result<usize, ValidationError> {
     let Some(raw) = raw else {
         return Err(ValidationError::new(
@@ -70,20 +69,19 @@ pub fn try_parse_count(field: &'static str, raw: Option<&str>) -> Result<usize, 
 /// # Errors
 ///
 /// [`ValidationError`] on a missing, empty, malformed, or zero operand.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_parse_jobs(raw: Option<&str>) -> Result<usize, ValidationError> {
     try_parse_count("jobs", raw)
 }
 
 /// Parses a `--deadline` operand as seconds into a [`Duration`]. The value
-/// must be a finite, positive number of seconds; whitespace and a leading
-/// `+` are tolerated like every other operand.
+/// must be a finite, positive number of seconds that still names an
+/// [`Instant`] when added to now; whitespace and a leading `+` are
+/// tolerated like every other operand.
 ///
 /// # Errors
 ///
 /// [`ValidationError`] on a missing, empty, malformed, non-finite, or
-/// non-positive operand.
-#[must_use = "this returns a Result that must be handled"]
+/// non-positive operand, or on one too large to schedule.
 pub fn try_parse_deadline(raw: Option<&str>) -> Result<Duration, ValidationError> {
     let Some(raw) = raw else {
         return Err(ValidationError::new(
@@ -107,7 +105,16 @@ pub fn try_parse_deadline(raw: Option<&str>) -> Result<Duration, ValidationError
             "a positive number of seconds",
         ));
     }
-    Ok(Duration::from_secs_f64(secs))
+    Duration::try_from_secs_f64(secs)
+        .ok()
+        .filter(|d| Instant::now().checked_add(*d).is_some())
+        .ok_or_else(|| {
+            ValidationError::new(
+                "deadline",
+                secs,
+                "a number of seconds small enough to schedule from now",
+            )
+        })
 }
 
 /// Parses a count operand that may legitimately be zero (restart
@@ -118,7 +125,6 @@ pub fn try_parse_deadline(raw: Option<&str>) -> Result<Duration, ValidationError
 /// # Errors
 ///
 /// [`ValidationError`] on a missing, empty, or malformed operand.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_parse_count_or_zero(
     field: &'static str,
     raw: Option<&str>,
@@ -151,7 +157,6 @@ pub fn try_parse_count_or_zero(
 /// # Errors
 ///
 /// [`ValidationError`] on a missing or empty operand.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_parse_path(field: &'static str, raw: Option<&str>) -> Result<PathBuf, ValidationError> {
     let Some(raw) = raw else {
         return Err(ValidationError::new(
@@ -178,7 +183,6 @@ pub fn try_parse_path(field: &'static str, raw: Option<&str>) -> Result<PathBuf,
 ///
 /// [`ValidationError`] on a missing, empty, malformed, or out-of-range
 /// operand.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_parse_port(raw: Option<&str>) -> Result<u16, ValidationError> {
     let Some(raw) = raw else {
         return Err(ValidationError::new(
@@ -268,7 +272,15 @@ mod tests {
 
     #[test]
     fn deadline_rejects_bad_operands() {
-        for raw in [Some("0"), Some("-2"), Some("inf"), Some("soon"), None] {
+        for raw in [
+            Some("0"),
+            Some("-2"),
+            Some("inf"),
+            Some("soon"),
+            Some("1e19"),
+            Some("1e20"),
+            None,
+        ] {
             let e = try_parse_deadline(raw).expect_err("bad deadline rejected");
             assert_eq!(e.field, "deadline");
         }

@@ -27,7 +27,6 @@ impl ServeClient {
     /// # Errors
     ///
     /// [`WireError::Io`] when the connection cannot be established.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_connect<A: ToSocketAddrs>(addr: A, timeout: Duration) -> Result<Self, WireError> {
         Self::try_connect_split(addr, timeout, Some(timeout))
     }
@@ -40,7 +39,6 @@ impl ServeClient {
     /// # Errors
     ///
     /// [`WireError::Io`] when the connection cannot be established.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_connect_split<A: ToSocketAddrs>(
         addr: A,
         connect_timeout: Duration,
@@ -67,7 +65,6 @@ impl ServeClient {
     /// # Errors
     ///
     /// [`WireError::Io`] when the socket refuses the timeout.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn set_request_timeout(&mut self, timeout: Option<Duration>) -> Result<(), WireError> {
         self.stream
             .set_read_timeout(timeout)
@@ -82,7 +79,6 @@ impl ServeClient {
     /// # Errors
     ///
     /// Any [`WireError`] from framing, the socket, or an alien response.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_request(&mut self, line: &str) -> Result<ParsedResponse, WireError> {
         let raw = self.try_request_raw(line)?;
         parse_response(&raw)
@@ -94,7 +90,6 @@ impl ServeClient {
     ///
     /// Any [`WireError`] from framing or the socket; a connection the
     /// server closed without answering surfaces as `Truncated`.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_request_raw(&mut self, line: &str) -> Result<String, WireError> {
         let frame = try_encode_frame(line, MAX_FRAME_BYTES)?;
         self.stream.write_all(&frame).map_err(|e| io_error(&e))?;

@@ -100,7 +100,6 @@ pub(crate) fn io_error(e: &std::io::Error) -> WireError {
 /// # Errors
 ///
 /// [`WireError::Oversize`] when the payload exceeds `max` bytes.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_encode_frame(payload: &str, max: usize) -> Result<Vec<u8>, WireError> {
     let bytes = payload.as_bytes();
     if bytes.len() > max {
@@ -122,7 +121,6 @@ pub fn try_encode_frame(payload: &str, max: usize) -> Result<Vec<u8>, WireError>
 /// # Errors
 ///
 /// [`WireError::BadMagic`] or [`WireError::Oversize`].
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_decode_header(header: &[u8; HEADER_BYTES], max: usize) -> Result<usize, WireError> {
     let (magic, len_word) = header.split_at(4);
     if magic != MAGIC {
@@ -148,7 +146,6 @@ pub fn try_decode_header(header: &[u8; HEADER_BYTES], max: usize) -> Result<usiz
 /// # Errors
 ///
 /// Every [`WireError`] a malformed or interrupted frame can produce.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_read_frame<R: Read>(reader: &mut R, max: usize) -> Result<Option<String>, WireError> {
     let mut header = [0u8; HEADER_BYTES];
     match read_exact_or_eof(reader, &mut header)? {
@@ -279,7 +276,6 @@ impl ParsedResponse {
 /// [`WireError::Io`] (with a rendered detail) when the payload fits
 /// neither the `ok` nor the `err` grammar — a peer speaking a different
 /// protocol.
-#[must_use = "this returns a Result that must be handled"]
 pub fn parse_response(payload: &str) -> Result<ParsedResponse, WireError> {
     if let Some(body) = payload.strip_prefix("ok\n") {
         return Ok(ParsedResponse {

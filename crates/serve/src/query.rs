@@ -316,7 +316,6 @@ fn eval_params(fields: &HashMap<&str, &str>) -> Result<EvalParams, QueryError> {
 ///
 /// [`QueryError::Malformed`] for grammar violations, [`QueryError::Invalid`]
 /// for out-of-range parameters.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_parse_request(line: &str) -> Result<Request, QueryError> {
     let mut tokens = line.split_ascii_whitespace();
     let Some(op) = tokens.next() else {
@@ -510,7 +509,6 @@ fn build_study(
 /// [`PpatcError::Interrupted`] with partial-progress counts when the
 /// budget expires, [`PpatcError::Validation`] for model-level rejections,
 /// and any evaluation error from the core (timing, failure budgets, ...).
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_evaluate(query: &Query, budget: &RunBudget) -> Result<String, PpatcError> {
     match query {
         Query::Ping | Query::Health | Query::Drain | Query::KillWorker => Ok(String::new()),

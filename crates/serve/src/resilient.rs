@@ -262,7 +262,6 @@ impl ResilientClient {
     /// transport kept failing past the budget;
     /// [`ResilientError::Wire`] for non-replayable failures (oversize
     /// request, alien response) or the failure that opened the circuit.
-    #[must_use = "this returns a Result that must be handled"]
     pub fn try_request(&mut self, line: &str) -> Result<ParsedResponse, ResilientError> {
         self.stats.requests += 1;
         if let Breaker::Open { until } = self.breaker {
@@ -331,7 +330,6 @@ impl ResilientClient {
     }
 
     /// One wire attempt: apply the fault action, send, read, parse.
-    #[must_use = "this returns a Result that must be handled"]
     fn try_attempt(
         &mut self,
         frame: &[u8],

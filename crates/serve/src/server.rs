@@ -216,7 +216,6 @@ impl ServerHandle {
 /// Any `std::io::Error` from binding the listener, plus journal recovery
 /// failures (corruption before the tail, a journal from a different
 /// cache geometry, or plain I/O) wrapped as `std::io::Error`.
-#[must_use = "this returns a Result that must be handled"]
 pub fn try_spawn(config: ServerConfig) -> Result<ServerHandle, std::io::Error> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;

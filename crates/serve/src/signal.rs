@@ -46,6 +46,7 @@ extern "C" fn on_signal(_signum: i32) {
 /// and return `false` (their token will NOT be cancelled on signal — the
 /// caller should poll the winner's token instead, or treat `false` as a
 /// configuration error).
+#[allow(unsafe_code)] // the workspace's one FFI call; see the module docs
 pub fn install_drain_handler(token: &CancelToken) -> bool {
     if INSTALLED.swap(true, Ordering::SeqCst) {
         return false;

@@ -38,10 +38,12 @@ impl SolverBudget {
         self
     }
 
-    /// Bounds the invocation by a wall-clock timeout from now.
+    /// Bounds the invocation by a wall-clock timeout from now. A timeout
+    /// too far out for an [`Instant`] to represent sets no deadline.
     #[must_use]
-    pub fn with_deadline_in(self, timeout: Duration) -> Self {
-        self.with_deadline(Instant::now() + timeout)
+    pub fn with_deadline_in(mut self, timeout: Duration) -> Self {
+        self.deadline = Instant::now().checked_add(timeout);
+        self
     }
 
     /// Bounds the invocation by a total Newton-iteration count across all
@@ -106,5 +108,9 @@ mod tests {
         assert!(b.exhausted(0));
         let far = SolverBudget::unlimited().with_deadline_in(Duration::from_secs(60));
         assert!(!far.exhausted(0));
+        // A timeout past the clock's range is no bound, not a panic.
+        assert!(SolverBudget::unlimited()
+            .with_deadline_in(Duration::MAX)
+            .is_unlimited());
     }
 }
