@@ -104,10 +104,13 @@ fn main() {
     );
 
     {
+        use ppatc::montecarlo::{try_run_supervised, MonteCarloConfig, UncertaintyRanges};
         let map = ppatc_bench::case_study().tcdp_map(ppatc::Lifetime::months(24.0));
-        let ranges = ppatc::montecarlo::UncertaintyRanges::paper_default();
+        let ranges = UncertaintyRanges::paper_default();
+        let config = MonteCarloConfig::new(10_000, 7).expect("sample count >= 1");
+        let supervisor = ppatc::Supervisor::new();
         h.bench("ext/monte_carlo_10k", || {
-            ppatc::montecarlo::run(&map, &ranges, 10_000, 7)
+            try_run_supervised(&map, &ranges, &config, 1, &supervisor).expect("sweep evaluates")
         });
     }
 
@@ -119,7 +122,7 @@ fn main() {
             ppatc::optimize::DesignSpace::paper_default(),
             ppatc::Lifetime::months(24.0),
         );
-        h.bench("ext/optimizer_full_space", || opt.run(&run));
+        h.bench("ext/optimizer_full_space", || opt.run_jobs(&run, 1));
     }
 
     h.bench("ext/gds_array_16x16_round_trip", || {

@@ -6,13 +6,11 @@
 //! cargo run --release -p ppatc-bench --bin eval_bench -- --samples 100000 --jobs 8
 //! ```
 //!
-//! Four workloads are timed (median of 5 warm runs each):
+//! Three workloads are timed (median of 5 warm runs each):
 //!
 //! - the joint Monte-Carlo sweep at 10 000 samples, serial vs. parallel
 //!   worker counts up to `--jobs` (byte-identical results are asserted,
 //!   not assumed);
-//! - the same sweep under a supervisor (cancellation/deadline polling and
-//!   panic isolation active), measuring the supervision overhead;
 //! - a 512×512 tCDP-ratio raster, serial vs. `--jobs` workers;
 //! - the capacity sweep cold (every eDRAM macro characterized from
 //!   scratch) vs. warm (every characterization served from the memo
@@ -26,6 +24,8 @@
 
 use ppatc::montecarlo::{self, MonteCarloConfig, UncertaintyRanges};
 use ppatc::{Lifetime, PpatcError, RunBudget, Supervisor};
+use ppatc_serve::cli;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
     let mut samples = 10_000usize;
     let mut jobs = 4usize;
     let mut deadline = None;
-    let mut checkpoint: Option<String> = None;
+    let mut checkpoint: Option<PathBuf> = None;
     let mut resume = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -63,24 +63,24 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--jobs" | "-j" => match ppatc_bench::cli::try_parse_jobs(args.next().as_deref()) {
+            "--jobs" | "-j" => match cli::try_parse_jobs(args.next().as_deref()) {
                 Ok(n) => jobs = n,
                 Err(e) => {
                     eprintln!("--jobs: {e}");
                     return ExitCode::FAILURE;
                 }
             },
-            "--deadline" => match ppatc_bench::cli::try_parse_deadline(args.next().as_deref()) {
+            "--deadline" => match cli::try_parse_deadline(args.next().as_deref()) {
                 Ok(d) => deadline = Some(d),
                 Err(e) => {
                     eprintln!("--deadline: {e}");
                     return ExitCode::FAILURE;
                 }
             },
-            "--checkpoint" => match args.next() {
-                Some(path) => checkpoint = Some(path),
-                None => {
-                    eprintln!("--checkpoint requires a journal path");
+            "--checkpoint" => match cli::try_parse_path("checkpoint", args.next().as_deref()) {
+                Ok(path) => checkpoint = Some(path),
+                Err(e) => {
+                    eprintln!("--checkpoint: {e}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -103,9 +103,7 @@ fn main() -> ExitCode {
     if let Some(d) = deadline {
         budget = budget.with_deadline_in(d);
     }
-    let mut supervisor = Supervisor::new()
-        .with_budget(budget.clone())
-        .resuming(resume);
+    let mut supervisor = Supervisor::new().with_budget(budget).resuming(resume);
     if let Some(path) = &checkpoint {
         supervisor = supervisor.with_checkpoint(path);
     }
@@ -116,13 +114,17 @@ fn main() -> ExitCode {
     // it is forced outside the timed region (first caller pays the OnceLock
     // init otherwise).
     ppatc_bench::matmul_run();
-    let (hits0, misses0) = ppatc_edram::characterization_cache_stats();
+    let capacity_sweep = || {
+        ppatc_bench::capacity::try_sweep_supervised(1, &Supervisor::new())
+            .expect("every capacity point evaluates")
+    };
+    let (_, misses0) = ppatc_edram::characterization_cache_stats();
     let t = Instant::now();
-    let cold_sweep = ppatc_bench::capacity::sweep_jobs(1);
+    let cold_sweep = capacity_sweep();
     let capacity_cold_ms = t.elapsed().as_secs_f64() * 1e3;
     let (hits1, misses1) = ppatc_edram::characterization_cache_stats();
     let capacity_warm_ms = median_ms(|| {
-        let warm = ppatc_bench::capacity::sweep_jobs(1);
+        let warm = capacity_sweep();
         assert_eq!(warm, cold_sweep, "cache must not change sweep results");
     });
     let (hits2, misses2) = ppatc_edram::characterization_cache_stats();
@@ -140,7 +142,8 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             if let Some(path) = &checkpoint {
                 eprintln!(
-                    "partial results are journaled; rerun with `--checkpoint {path} --resume`"
+                    "partial results are journaled; rerun with `--checkpoint {} --resume`",
+                    path.display()
                 );
             }
             return ExitCode::from(EXIT_INTERRUPTED);
@@ -150,11 +153,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let plain =
-        montecarlo::try_run_jobs(&map, &ranges, &config, 1).expect("serial sweep evaluates");
+    let sweep = |jobs: usize| {
+        montecarlo::try_run_supervised(&map, &ranges, &config, jobs, &Supervisor::new())
+            .expect("sweep evaluates")
+    };
+    let plain = sweep(1);
     assert_eq!(
         reference, plain,
-        "supervised sweep must match the unsupervised serial sweep"
+        "the configured run must match an unjournaled serial sweep"
     );
     // The batched structure-of-arrays engine must agree byte-for-byte with
     // the scalar per-sample oracle before any of its timings are reported.
@@ -172,18 +178,11 @@ fn main() -> ExitCode {
         .iter()
         .map(|&j| {
             let ms = median_ms(|| {
-                let r =
-                    montecarlo::try_run_jobs(&map, &ranges, &config, j).expect("sweep evaluates");
-                assert_eq!(r, reference, "jobs = {j} must be byte-identical");
+                assert_eq!(sweep(j), reference, "jobs = {j} must be byte-identical");
             });
             (j, ms)
         })
         .collect();
-    let supervised_ms = median_ms(|| {
-        let r = montecarlo::try_run_supervised(&map, &ranges, &config, jobs, &Supervisor::new())
-            .expect("supervised sweep evaluates");
-        assert_eq!(r, reference, "supervised rerun must be byte-identical");
-    });
 
     // --- Raster, serial vs. parallel.
     let raster_ref = map
@@ -220,8 +219,7 @@ fn main() -> ExitCode {
     "note": "on a 1-core host the parallel rows measure engine overhead only; the Monte-Carlo and raster stages scale with cores because every sample/point is a pure function of its index. Regenerate on the target host with the command above."
   }},
   "monte_carlo_{samples}_samples_ms": {{
-{mc_rows},
-    "jobs_{jobs}_supervised": {supervised_ms:.3}
+{mc_rows}
   }},
   "raster_512x512_ms": {{
 {raster_rows}
@@ -234,7 +232,7 @@ fn main() -> ExitCode {
     "characterizations_warm": {},
     "cache_hits_during_warm_runs": {}
   }},
-  "determinism": "asserted in-process: MonteCarloResult (supervised and not) and raster grid equal across worker counts, batched SoA sweep byte-identical to the scalar per-sample oracle, warm capacity sweep byte-identical to cold; also covered by tests/parallel_eval.rs and tests/fault_injection.rs"
+  "determinism": "asserted in-process: MonteCarloResult (the configured run and every timed one) and raster grid equal across worker counts, batched SoA sweep byte-identical to the scalar per-sample oracle, warm capacity sweep byte-identical to cold; also covered by tests/parallel_eval.rs and tests/fault_injection.rs"
 }}"#,
         capacity_cold_ms,
         capacity_warm_ms,
@@ -243,7 +241,6 @@ fn main() -> ExitCode {
         misses2 - misses1,
         hits2 - hits1,
     );
-    let _ = (hits0, budget);
     if let Err(e) = std::fs::write("BENCH_eval.json", format!("{json}\n")) {
         eprintln!("failed to write BENCH_eval.json: {e}");
         return ExitCode::FAILURE;

@@ -22,6 +22,8 @@
 //!   resumed run is byte-identical to an uninterrupted one.
 
 use ppatc::{PpatcError, RunBudget, Supervisor};
+use ppatc_serve::cli;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Exit code of a run stopped by its deadline (distinct from hard
@@ -33,29 +35,29 @@ fn main() -> ExitCode {
     let mut exhibit: Option<String> = None;
     let mut jobs = ppatc::eval::default_jobs();
     let mut deadline = None;
-    let mut checkpoint: Option<String> = None;
+    let mut checkpoint: Option<PathBuf> = None;
     let mut resume = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--jobs" | "-j" => match ppatc_bench::cli::try_parse_jobs(args.next().as_deref()) {
+            "--jobs" | "-j" => match cli::try_parse_jobs(args.next().as_deref()) {
                 Ok(n) => jobs = n,
                 Err(e) => {
                     eprintln!("--jobs: {e}");
                     return ExitCode::FAILURE;
                 }
             },
-            "--deadline" => match ppatc_bench::cli::try_parse_deadline(args.next().as_deref()) {
+            "--deadline" => match cli::try_parse_deadline(args.next().as_deref()) {
                 Ok(d) => deadline = Some(d),
                 Err(e) => {
                     eprintln!("--deadline: {e}");
                     return ExitCode::FAILURE;
                 }
             },
-            "--checkpoint" => match args.next() {
-                Some(path) => checkpoint = Some(path),
-                None => {
-                    eprintln!("--checkpoint requires a journal path");
+            "--checkpoint" => match cli::try_parse_path("checkpoint", args.next().as_deref()) {
+                Ok(path) => checkpoint = Some(path),
+                Err(e) => {
+                    eprintln!("--checkpoint: {e}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -102,12 +104,12 @@ fn main() -> ExitCode {
         "montecarlo" => {
             match ppatc_bench::extras::try_render_monte_carlo_supervised(jobs, &supervisor) {
                 Ok(out) => out,
-                Err(e) => return report_supervised_failure(&e, &checkpoint),
+                Err(e) => return report_supervised_failure(&e, checkpoint.as_deref()),
             }
         }
         "capacity" => match ppatc_bench::capacity::try_render_supervised(jobs, &supervisor) {
             Ok(out) => out,
-            Err(e) => return report_supervised_failure(&e, &checkpoint),
+            Err(e) => return report_supervised_failure(&e, checkpoint.as_deref()),
         },
         "all" => ppatc_bench::render_all_jobs(jobs),
         other => {
@@ -124,11 +126,14 @@ fn main() -> ExitCode {
 /// Reports a supervised-exhibit failure: an interrupt gets the dedicated
 /// exit code plus a resume hint when the partial work was journaled;
 /// anything else is a plain failure.
-fn report_supervised_failure(e: &PpatcError, checkpoint: &Option<String>) -> ExitCode {
+fn report_supervised_failure(e: &PpatcError, checkpoint: Option<&Path>) -> ExitCode {
     eprintln!("{e}");
     if let PpatcError::Interrupted { .. } = e {
         if let Some(path) = checkpoint {
-            eprintln!("partial results are journaled; rerun with `--checkpoint {path} --resume`");
+            eprintln!(
+                "partial results are journaled; rerun with `--checkpoint {} --resume`",
+                path.display()
+            );
         }
         return ExitCode::from(EXIT_INTERRUPTED);
     }

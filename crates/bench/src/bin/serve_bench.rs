@@ -25,7 +25,7 @@
 //! failed to shut down gracefully, or the resilience phase left a
 //! request unanswered / failed to recover the cache byte-identically.
 
-use ppatc_bench::cli;
+use ppatc_serve::cli;
 use ppatc_serve::client::ServeClient;
 use ppatc_serve::fault::{FaultPlan, FaultSpec};
 use ppatc_serve::protocol::MAGIC;

@@ -66,26 +66,17 @@ const SWEEP_CLOCK_MHZ: f64 = 500.0;
 /// The fixed evaluation lifetime of the sweep, months.
 const SWEEP_LIFETIME_MONTHS: f64 = 24.0;
 
-/// Sweeps per-macro capacity (program and data memories both sized to it).
-pub fn sweep() -> Vec<CapacityPoint> {
-    sweep_jobs(1)
-}
-
-/// [`sweep`] with capacity points evaluated across `jobs` workers (the
-/// supervised twin under a default [`Supervisor`]). The result is
+/// Sweeps per-macro capacity (program and data memories both sized to it)
+/// across `jobs` workers under a [`Supervisor`]. The result is
 /// byte-identical for any worker count; each point's two eDRAM
 /// characterizations are served from [`ppatc_edram::EdramMacro`]'s memo
 /// cache after the first request for that `(technology, organization)`.
-pub fn sweep_jobs(jobs: usize) -> Vec<CapacityPoint> {
-    try_sweep_supervised(jobs, &Supervisor::new()).expect("every capacity point evaluates")
-}
-
-/// [`sweep_jobs`] under a [`Supervisor`]: honors the supervisor's
-/// cancellation token and deadline, isolates worker panics, and — when a
-/// checkpoint path is configured — journals every finished point so an
-/// interrupted sweep resumes byte-identically (each point is a pure
-/// function of its capacity index, and the journal stores exact `f64` bit
-/// patterns).
+///
+/// The sweep honors the supervisor's cancellation token and deadline,
+/// isolates worker panics, and — when a checkpoint path is configured —
+/// journals every finished point so an interrupted sweep resumes
+/// byte-identically (each point is a pure function of its capacity index,
+/// and the journal stores exact `f64` bit patterns).
 ///
 /// # Errors
 ///
@@ -157,19 +148,8 @@ fn capacity_point(k: usize) -> CapacityPoint {
     }
 }
 
-/// Renders the sweep.
-pub fn render() -> String {
-    render_jobs(1)
-}
-
-/// [`render`] with the sweep evaluated across `jobs` workers (identical
-/// output for any worker count).
-pub fn render_jobs(jobs: usize) -> String {
-    format_points(&sweep_jobs(jobs))
-}
-
-/// [`render_jobs`] under a [`Supervisor`]; identical output to
-/// [`render_jobs`] when the run completes.
+/// Renders the sweep run by [`try_sweep_supervised`]; the output is
+/// identical for any worker count.
 ///
 /// # Errors
 ///
@@ -204,9 +184,14 @@ fn format_points(points: &[CapacityPoint]) -> String {
 mod tests {
     use super::*;
 
+    /// The sweep at `jobs` workers under a default supervisor.
+    fn sweep_at(jobs: usize) -> Vec<CapacityPoint> {
+        try_sweep_supervised(jobs, &Supervisor::new()).expect("every capacity point evaluates")
+    }
+
     #[test]
     fn areas_scale_with_capacity() {
-        let pts = sweep();
+        let pts = sweep_at(1);
         for pair in pts.windows(2) {
             assert!(pair[1].area_mm2[0] > pair[0].area_mm2[0]);
             assert!(pair[1].area_mm2[1] > pair[0].area_mm2[1]);
@@ -222,7 +207,7 @@ mod tests {
     fn abundant_memory_favors_m3d() {
         // The paper's motivating trend: the M3D benefit grows monotonically
         // with on-chip memory capacity.
-        let pts = sweep();
+        let pts = sweep_at(1);
         for pair in pts.windows(2) {
             assert!(
                 pair[1].m3d_benefit_24mo > pair[0].m3d_benefit_24mo - 1e-9,
@@ -237,22 +222,13 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_identical_to_serial() {
-        let serial = sweep_jobs(1);
+        let serial = sweep_at(1);
         for jobs in [2, 8] {
-            assert_eq!(serial, sweep_jobs(jobs), "jobs = {jobs}");
+            assert_eq!(serial, sweep_at(jobs), "jobs = {jobs}");
         }
-        assert_eq!(render_jobs(1), render_jobs(4));
-    }
-
-    #[test]
-    fn supervised_sweep_matches_unsupervised() {
-        let plain = sweep_jobs(2);
-        let supervised =
-            try_sweep_supervised(2, &Supervisor::new()).expect("default supervisor completes");
-        assert_eq!(plain, supervised);
         assert_eq!(
-            render_jobs(1),
-            try_render_supervised(1, &Supervisor::new()).expect("render completes")
+            try_render_supervised(1, &Supervisor::new()).expect("render completes"),
+            try_render_supervised(4, &Supervisor::new()).expect("render completes")
         );
     }
 
@@ -277,7 +253,7 @@ mod tests {
 
     #[test]
     fn the_paper_point_is_in_the_sweep() {
-        let pts = sweep();
+        let pts = sweep_at(1);
         let at_64 = pts
             .iter()
             .find(|p| p.kb_per_macro == 64)

@@ -15,7 +15,9 @@ pub fn map() -> TcdpMap {
 
 /// The Fig. 6a raster: `(x, y, ratio)` samples of the colormap.
 pub fn raster() -> Vec<(f64, f64, f64)> {
-    map().raster((0.5, 3.0), (0.25, 1.5), 21, 21)
+    map()
+        .try_raster_jobs((0.5, 3.0), (0.25, 1.5), 21, 21, 1)
+        .expect("the Fig. 6a window is valid")
 }
 
 /// The nominal isoline.

@@ -21,7 +21,6 @@
 
 pub mod ablation;
 pub mod capacity;
-pub mod cli;
 pub mod extras;
 pub mod fig2ab;
 pub mod fig2c;
@@ -32,7 +31,7 @@ pub mod fig6;
 pub mod table1;
 pub mod table2;
 
-use ppatc::CaseStudy;
+use ppatc::{CaseStudy, PpatcError, Supervisor};
 use ppatc_workloads::{Workload, WorkloadRun};
 use std::sync::OnceLock;
 
@@ -53,15 +52,21 @@ pub fn case_study() -> &'static CaseStudy {
     STUDY.get_or_init(|| CaseStudy::paper(matmul_run()).expect("case study must build"))
 }
 
-/// Renders every exhibit in paper order.
-pub fn render_all() -> String {
-    render_all_jobs(1)
-}
-
-/// [`render_all`] with the evaluation-heavy exhibits (Monte Carlo,
-/// capacity sweep) sharded across `jobs` workers; identical output for any
-/// worker count.
+/// Renders every exhibit in paper order, with the evaluation-heavy ones
+/// (Monte Carlo, capacity sweep) sharded across `jobs` workers; identical
+/// output for any worker count.
+///
+/// # Panics
+///
+/// If the Monte-Carlo or capacity exhibit fails. Neither can: an
+/// unlimited, journal-free supervisor is never interrupted, and both
+/// paper-default sweeps evaluate.
 pub fn render_all_jobs(jobs: usize) -> String {
+    let supervisor = Supervisor::new();
+    let complete = |body: Result<String, PpatcError>| match body {
+        Ok(body) => body,
+        Err(e) => panic!("paper-default exhibit failed: {e}"),
+    };
     let mut out = String::new();
     for (name, body) in [
         ("Table I", table1::render()),
@@ -75,8 +80,14 @@ pub fn render_all_jobs(jobs: usize) -> String {
         ("Fig. 6b", fig6::render_uncertainty()),
         ("Ablations", ablation::render()),
         ("Workload suite", extras::render_workloads()),
-        ("Monte Carlo", extras::render_monte_carlo_jobs(jobs)),
-        ("Capacity sweep", capacity::render_jobs(jobs)),
+        (
+            "Monte Carlo",
+            complete(extras::try_render_monte_carlo_supervised(jobs, &supervisor)),
+        ),
+        (
+            "Capacity sweep",
+            complete(capacity::try_render_supervised(jobs, &supervisor)),
+        ),
     ] {
         out.push_str(&format!("==== {name} ====\n{body}\n\n"));
     }
@@ -87,7 +98,7 @@ pub fn render_all_jobs(jobs: usize) -> String {
 mod tests {
     #[test]
     fn all_exhibits_render() {
-        let text = super::render_all();
+        let text = super::render_all_jobs(1);
         for marker in [
             "Table I", "Fig. 2c", "Fig. 4", "Table II", "Fig. 5", "Fig. 6",
         ] {

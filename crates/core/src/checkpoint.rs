@@ -148,7 +148,8 @@ impl LineJournal {
     ///
     /// # Errors
     ///
-    /// [`PpatcError::Checkpoint`] if the file cannot be written or renamed.
+    /// [`PpatcError::Checkpoint`] if the file cannot be written or renamed;
+    /// the `.tmp` file is removed again.
     pub fn try_rewrite(
         path: PathBuf,
         noun: &'static str,
@@ -160,7 +161,7 @@ impl LineJournal {
         let tmp = PathBuf::from(tmp);
         let file = File::create(&tmp).map_err(|e| io_error(noun, &tmp, "create", &e))?;
         let mut writer = BufWriter::new(file);
-        std::iter::once(header)
+        let written = std::iter::once(header)
             .chain(lines.iter().map(String::as_str))
             .try_for_each(|line| {
                 writer
@@ -169,8 +170,12 @@ impl LineJournal {
             })
             .and_then(|()| writer.flush())
             .and_then(|()| writer.get_ref().sync_all())
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .map_err(|e| io_error(noun, &path, "write", &e))?;
+            .and_then(|()| std::fs::rename(&tmp, &path));
+        if let Err(e) = written {
+            // Best effort: the write error is the one worth reporting.
+            let _ = std::fs::remove_file(&tmp);
+            return Err(io_error(noun, &path, "write", &e));
+        }
         Ok(Self {
             path,
             noun,
@@ -739,6 +744,24 @@ mod tests {
             "the error names the offending counts: {msg}"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_rewrite_leaves_no_temp_file_behind() {
+        // Renaming the temp file over a directory fails after the temp
+        // file exists; the error must not strand it beside the target.
+        let dir = scratch("rewrite-onto-dir");
+        let _ = std::fs::remove_file(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch directory");
+        let mut tmp = dir.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let e = LineJournal::try_rewrite(dir.clone(), NOUN, "header", &["line".to_owned()])
+            .expect_err("a directory cannot be replaced by a journal");
+        assert!(matches!(e, PpatcError::Checkpoint { .. }), "{e}");
+        assert!(!tmp.exists(), "{} left behind", tmp.display());
+        assert!(dir.is_dir(), "the directory itself is untouched");
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]

@@ -60,20 +60,6 @@ impl EmbodiedPipeline {
         Ok(self)
     }
 
-    /// Panicking convenience wrapper around
-    /// [`EmbodiedPipeline::try_with_embodied_scale`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite and positive.
-    #[must_use]
-    pub fn with_embodied_scale(self, factor: f64) -> Self {
-        match self.try_with_embodied_scale(factor) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Fabrication grid in use.
     pub fn fab_grid(&self) -> Grid {
         self.fab_grid
@@ -188,7 +174,8 @@ mod tests {
         let (si, _) = designs();
         let base = EmbodiedPipeline::paper_default().per_good_die(&si);
         let doubled = EmbodiedPipeline::paper_default()
-            .with_embodied_scale(2.0)
+            .try_with_embodied_scale(2.0)
+            .expect("valid factor")
             .per_good_die(&si);
         assert!(approx_eq(
             doubled.per_good_die().as_grams(),

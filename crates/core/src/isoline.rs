@@ -209,23 +209,11 @@ impl TcdpMap {
     }
 
     /// Rasterizes the ratio colormap over `[x0, x1] × [y0, y1]` as
-    /// `(x, y, ratio)` triples, row-major in y. Rejects resolutions below
-    /// 2×2 and empty or non-finite ranges.
-    // ppatc-lint: allow(raw-unit-api) — raster axes are dimensionless scale factors
-    pub fn try_raster(
-        &self,
-        (x0, x1): (f64, f64),
-        (y0, y1): (f64, f64),
-        nx: usize,
-        ny: usize,
-    ) -> Result<Vec<(f64, f64, f64)>, PpatcError> {
-        self.try_raster_jobs((x0, x1), (y0, y1), nx, ny, 1)
-    }
-
-    /// [`TcdpMap::try_raster`] sharded across `jobs` workers (the
-    /// supervised twin under a default [`Supervisor`]); the grid is
-    /// byte-identical to the serial raster for any worker count (every
-    /// point is a pure function of its grid index).
+    /// `(x, y, ratio)` triples, row-major in y, across `jobs` workers (the
+    /// supervised twin under a default [`Supervisor`]). Rejects resolutions
+    /// below 2×2 and empty or non-finite ranges; the grid is byte-identical
+    /// for any worker count (every point is a pure function of its grid
+    /// index).
     // ppatc-lint: allow(raw-unit-api) — raster axes are dimensionless scale factors
     pub fn try_raster_jobs(
         &self,
@@ -320,26 +308,6 @@ impl TcdpMap {
         let y = y0 + (y1 - y0) * (j as f64) / ((ny - 1) as f64);
         let x = x0 + (x1 - x0) * (i as f64) / ((nx - 1) as f64);
         (x, y, self.ratio(x, y))
-    }
-
-    /// Panicking convenience wrapper around [`TcdpMap::try_raster`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either resolution is below 2 or a range is empty or
-    /// non-finite.
-    // ppatc-lint: allow(raw-unit-api) — raster axes are dimensionless scale factors
-    pub fn raster(
-        &self,
-        x_range: (f64, f64),
-        y_range: (f64, f64),
-        nx: usize,
-        ny: usize,
-    ) -> Vec<(f64, f64, f64)> {
-        match self.try_raster(x_range, y_range, nx, ny) {
-            Ok(grid) => grid,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// tCDP ratio under a jointly sampled uncertainty point (see
@@ -566,11 +534,11 @@ mod tests {
             .expect_err("infinite CI scale rejected");
         assert_eq!(e.field, "ci_use_scale");
         let e = m
-            .try_raster((0.5, 3.0), (0.25, 1.5), 1, 5)
+            .try_raster_jobs((0.5, 3.0), (0.25, 1.5), 1, 5, 1)
             .expect_err("1-wide raster rejected");
         assert!(matches!(e, PpatcError::Validation(v) if v.field == "nx"));
         let e = m
-            .try_raster((3.0, 0.5), (0.25, 1.5), 6, 5)
+            .try_raster_jobs((3.0, 0.5), (0.25, 1.5), 6, 5, 1)
             .expect_err("empty range rejected");
         assert!(matches!(e, PpatcError::Validation(v) if v.field == "x1"));
     }
@@ -653,7 +621,9 @@ mod tests {
     #[test]
     fn raster_covers_grid() {
         let m = map();
-        let grid = m.raster((0.5, 3.0), (0.25, 1.5), 6, 5);
+        let grid = m
+            .try_raster_jobs((0.5, 3.0), (0.25, 1.5), 6, 5, 1)
+            .expect("valid window");
         assert_eq!(grid.len(), 30);
         let (x0, y0, _) = grid[0];
         let (x1, y1, _) = *grid.last().expect("non-empty");

@@ -15,9 +15,9 @@
 //!
 //! let design = SystemDesign::new(Technology::M3dIgzoCnfetSi, Frequency::from_megahertz(500.0))?;
 //! let mix = WorkloadMix::new()
-//!     .with(Workload::matmul_int().execute()?, 0.6)
-//!     .with(Workload::crc32().execute()?, 0.4);
-//! let blend = mix.evaluate(&design);
+//!     .try_with(Workload::matmul_int().execute()?, 0.6)?
+//!     .try_with(Workload::crc32().execute()?, 0.4)?;
+//! let blend = mix.try_evaluate(&design)?;
 //! println!("blended power: {}", blend.operational_power);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -60,19 +60,6 @@ impl WorkloadMix {
         check::positive("mix_weight", weight)?;
         self.entries.push((run, weight));
         Ok(self)
-    }
-
-    /// Panicking convenience wrapper around [`WorkloadMix::try_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not finite and positive.
-    #[must_use]
-    pub fn with(self, run: WorkloadRun, weight: f64) -> Self {
-        match self.try_with(run, weight) {
-            Ok(mix) => mix,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Number of applications in the mix.
@@ -122,18 +109,6 @@ impl WorkloadMix {
         })
     }
 
-    /// Panicking convenience wrapper around [`WorkloadMix::try_evaluate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mix is empty.
-    pub fn evaluate(&self, design: &SystemDesign) -> MixEvaluation {
-        match self.try_evaluate(design) {
-            Ok(blend) => blend,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Builds a carbon trajectory for the mix on a design, using the
     /// standard embodied pipeline and usage pattern. Rejects empty mixes.
     pub fn try_trajectory(
@@ -149,23 +124,6 @@ impl WorkloadMix {
             usage,
             blend.execution_time,
         )
-    }
-
-    /// Panicking convenience wrapper around [`WorkloadMix::try_trajectory`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mix is empty.
-    pub fn trajectory(
-        &self,
-        design: &SystemDesign,
-        embodied: &crate::EmbodiedPipeline,
-        usage: crate::UsagePattern,
-    ) -> crate::CarbonTrajectory {
-        match self.try_trajectory(design, embodied, usage) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
     }
 }
 
@@ -186,7 +144,10 @@ mod tests {
         let run = Workload::crc32().execute_with_reps(1).expect("runs");
         let d = design();
         let direct = d.evaluate(&run);
-        let mix = WorkloadMix::new().with(run, 1.0).evaluate(&d);
+        let mix = WorkloadMix::new()
+            .try_with(run, 1.0)
+            .and_then(|mix| mix.try_evaluate(&d))
+            .expect("one-app mix evaluates");
         assert!(approx_eq(
             mix.operational_power.as_watts(),
             direct.operational_power.as_watts(),
@@ -199,7 +160,10 @@ mod tests {
     fn weights_are_normalized() {
         let a = Workload::edn().execute_with_reps(1).expect("runs");
         let b = Workload::fir().execute_with_reps(1).expect("runs");
-        let mix = WorkloadMix::new().with(a, 3.0).with(b, 1.0);
+        let mix = WorkloadMix::new()
+            .try_with(a, 3.0)
+            .and_then(|mix| mix.try_with(b, 1.0))
+            .expect("positive weights");
         let w = mix.weights();
         assert!(approx_eq(w[0], 0.75, 1e-12));
         assert!(approx_eq(w[1], 0.25, 1e-12));
@@ -213,9 +177,10 @@ mod tests {
         let pa = d.evaluate(&a).operational_power.as_watts();
         let pb = d.evaluate(&b).operational_power.as_watts();
         let blend = WorkloadMix::new()
-            .with(a, 0.5)
-            .with(b, 0.5)
-            .evaluate(&d)
+            .try_with(a, 0.5)
+            .and_then(|mix| mix.try_with(b, 0.5))
+            .and_then(|mix| mix.try_evaluate(&d))
+            .expect("two-app mix evaluates")
             .operational_power
             .as_watts();
         let (lo, hi) = (pa.min(pb), pa.max(pb));
@@ -226,29 +191,19 @@ mod tests {
     fn mix_trajectory_produces_sane_tcdp() {
         let d = design();
         let mix = WorkloadMix::new()
-            .with(Workload::crc32().execute_with_reps(1).expect("runs"), 1.0)
-            .with(Workload::edn().execute_with_reps(1).expect("runs"), 1.0);
-        let traj = mix.trajectory(
-            &d,
-            &EmbodiedPipeline::paper_default(),
-            UsagePattern::paper_default(),
-        );
+            .try_with(Workload::crc32().execute_with_reps(1).expect("runs"), 1.0)
+            .and_then(|mix| mix.try_with(Workload::edn().execute_with_reps(1).expect("runs"), 1.0))
+            .expect("positive weights");
+        let traj = mix
+            .try_trajectory(
+                &d,
+                &EmbodiedPipeline::paper_default(),
+                UsagePattern::paper_default(),
+            )
+            .expect("non-empty mix");
         let tcdp = traj.tcdp(Lifetime::months(24.0));
         assert!(tcdp.as_grams_per_hertz() > 0.0);
         assert!(traj.embodied().as_grams() > 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid 'mix_len'")]
-    fn empty_mix_panics() {
-        let _ = WorkloadMix::new().evaluate(&design());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid 'mix_weight'")]
-    fn zero_weight_panics() {
-        let run = Workload::edn().execute_with_reps(1).expect("runs");
-        let _ = WorkloadMix::new().with(run, 0.0);
     }
 
     #[test]
@@ -257,7 +212,21 @@ mod tests {
             .try_evaluate(&design())
             .expect_err("empty mix rejected");
         assert_eq!(e.field, "mix_len");
+        assert!(e.to_string().contains("invalid 'mix_len'"), "{e}");
+        let e = WorkloadMix::new()
+            .try_trajectory(
+                &design(),
+                &EmbodiedPipeline::paper_default(),
+                UsagePattern::paper_default(),
+            )
+            .expect_err("empty mix has no trajectory");
+        assert_eq!(e.field, "mix_len");
         let run = Workload::edn().execute_with_reps(1).expect("runs");
+        let e = WorkloadMix::new()
+            .try_with(run.clone(), 0.0)
+            .expect_err("zero weight");
+        assert_eq!(e.field, "mix_weight");
+        assert!(e.to_string().contains("invalid 'mix_weight'"), "{e}");
         let e = WorkloadMix::new()
             .try_with(run.clone(), f64::NAN)
             .expect_err("NaN weight");

@@ -18,23 +18,22 @@
 //!
 //! - results are reproducible from a seed, and sample *i* is identical
 //!   whether the sweep draws 100 or 10 000 samples;
-//! - the freeze-one-at-a-time sensitivity in [`try_sensitivity`] is
-//!   properly *paired*: pinning one source leaves every other source's
+//! - the freeze-one-at-a-time sensitivity in [`try_sensitivity_supervised`]
+//!   is properly *paired*: pinning one source leaves every other source's
 //!   draws untouched, so the variance reduction it measures is exactly the
 //!   pinned source's share;
-//! - sweeps can be sharded across workers ([`try_run_jobs`]) with results
-//!   byte-identical to the serial run for any worker count.
+//! - sweeps can be sharded across workers ([`try_run_supervised`]) with
+//!   results byte-identical to the serial run for any worker count.
 //!
 //! # Fault isolation
 //!
 //! A sweep is only as robust as its worst sample: one NaN from a perturbed
-//! model must not abort the other 9 999 samples. [`try_run_with`] therefore
-//! evaluates each sample in isolation, classifies failures into a
-//! [`FailureBreakdown`] by cause, and computes the statistics over the
-//! survivors. A configurable [`MonteCarloConfig::failure_budget`] bounds the
-//! tolerated failed fraction; exceeding it returns
-//! [`PpatcError::FailureBudgetExceeded`] instead of silently reporting
-//! statistics from a crippled sweep.
+//! model must not abort the other 9 999 samples. [`try_run_supervised`]
+//! therefore classifies failed samples into a [`FailureBreakdown`] by
+//! cause, and computes the statistics over the survivors. A configurable
+//! [`MonteCarloConfig::failure_budget`] bounds the tolerated failed
+//! fraction; exceeding it returns [`PpatcError::FailureBudgetExceeded`]
+//! instead of silently reporting statistics from a crippled sweep.
 
 use crate::checkpoint::JournalSpec;
 use crate::error::{check, PpatcError, ValidationError};
@@ -42,12 +41,6 @@ use crate::eval::{Mapped, RunBudget, Supervisor};
 use crate::isoline::TcdpMap;
 use crate::lifetime::Lifetime;
 use ppatc_units::rng::SplitMix64;
-
-/// Samples per [`SampleBatch`] on the serial path — matches the parallel
-/// engine's largest chunk so batch buffers stay cache-sized. Chunk
-/// boundaries are unobservable: batches are bit-identical to per-sample
-/// evaluation regardless of where they split.
-const MC_BATCH: usize = 1024;
 
 /// Ratios of samples `start..end` of the sweep `plan` draws, evaluated as
 /// one [`SampleBatch`] — the chunk closure of every engine-backed sweep.
@@ -312,11 +305,11 @@ pub trait RatioSource {
     /// in index order.
     ///
     /// The default forwards to [`RatioSource::tcdp_ratio`] one sample at a
-    /// time in ascending order, so sources whose output depends on call
-    /// order behave exactly as under the scalar engine. Overrides may hoist
-    /// per-batch constants but must stay bit-identical to the default —
-    /// the sweep entry points batch at internal chunk boundaries and
-    /// guarantee results byte-identical to the scalar path.
+    /// time in ascending order, so at `jobs = 1` a source whose output
+    /// depends on call order sees the samples in index order. Overrides may
+    /// hoist per-batch constants but must stay bit-identical to the default
+    /// — the sweep batches at internal chunk boundaries and guarantees
+    /// results byte-identical to the scalar path.
     fn tcdp_ratio_batch(&self, batch: &SampleBatch, ratios: &mut Vec<f64>) {
         for i in 0..batch.len() {
             ratios.push(self.tcdp_ratio(&batch.sample(i)));
@@ -431,43 +424,6 @@ impl core::fmt::Display for FailureBreakdown {
     }
 }
 
-/// SPICE recovery pressure observed during one sweep: how many DC solves
-/// needed the GMIN/source-stepping ladder and how many gave up, differenced
-/// from the process-wide [`ppatc_spice::recovery_counters`] around the run.
-///
-/// The nominal exhibits evaluate pure arithmetic (no SPICE per sample), so
-/// both counts are normally zero; nonzero counts flag a sweep whose
-/// characterization work is straining the solver. The counters are
-/// process-global, so concurrent solves elsewhere in the process (e.g.
-/// parallel test threads) can inflate a run's attribution — treat the
-/// counts as an upper bound, not an exact per-run tally.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct SolverRecoveryPressure {
-    /// Solves rescued by a recovery rung during the sweep.
-    pub recovered_solves: u64,
-    /// Solves that exhausted the ladder or a solver budget.
-    pub exhausted_solves: u64,
-}
-
-impl SolverRecoveryPressure {
-    /// Whether any solve needed recovery or gave up.
-    pub fn any(&self) -> bool {
-        self.recovered_solves > 0 || self.exhausted_solves > 0
-    }
-}
-
-/// The pressure accumulated since a [`ppatc_spice::recovery_counters`]
-/// snapshot taken before the run.
-fn pressure_since(before: (u64, u64)) -> SolverRecoveryPressure {
-    let (recovered_0, exhausted_0) = before;
-    let (recovered_1, exhausted_1) = ppatc_spice::recovery_counters();
-    SolverRecoveryPressure {
-        recovered_solves: recovered_1.saturating_sub(recovered_0),
-        exhausted_solves: exhausted_1.saturating_sub(exhausted_0),
-    }
-}
-
 /// Summary of a Monte-Carlo run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MonteCarloResult {
@@ -484,9 +440,6 @@ pub struct MonteCarloResult {
     /// 5th / 50th / 95th percentiles of the tCDP ratio (M3D / all-Si) over
     /// the survivors.
     pub ratio_quantiles: (f64, f64, f64),
-    /// SPICE recovery pressure observed while the sweep ran (zero for the
-    /// pure-arithmetic nominal exhibits).
-    pub recovery: SolverRecoveryPressure,
 }
 
 impl core::fmt::Display for MonteCarloResult {
@@ -503,94 +456,14 @@ impl core::fmt::Display for MonteCarloResult {
         if self.failures.total() > 0 {
             write!(f, " ({} over survivors)", self.failures)?;
         }
-        if self.recovery.any() {
-            write!(
-                f,
-                " [solver recovery: {} rescued, {} exhausted]",
-                self.recovery.recovered_solves, self.recovery.exhausted_solves
-            )?;
-        }
         Ok(())
     }
 }
 
-/// Runs a Monte-Carlo sweep over a [`TcdpMap`]'s underlying designs.
-///
-/// This is the panicking convenience wrapper around [`try_run`] with a zero
-/// failure budget, kept for call sites whose inputs are statically known to
-/// be valid.
-///
-/// # Panics
-///
-/// Panics if `n` is zero, a range is invalid, or any sample fails to
-/// evaluate.
-pub fn run(map: &TcdpMap, ranges: &UncertaintyRanges, n: usize, seed: u64) -> MonteCarloResult {
-    let config = match MonteCarloConfig::new(n, seed) {
-        Ok(c) => c,
-        Err(e) => panic!("{e}"),
-    };
-    match try_run(map, ranges, &config) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Runs a Monte-Carlo sweep over a [`TcdpMap`]'s underlying designs,
-/// isolating per-sample failures.
-pub fn try_run(
-    map: &TcdpMap,
-    ranges: &UncertaintyRanges,
-    config: &MonteCarloConfig,
-) -> Result<MonteCarloResult, PpatcError> {
-    try_run_with(map, ranges, config)
-}
-
-/// [`try_run`] sharded across `jobs` workers; byte-identical to the serial
-/// run for any worker count (each sample is a pure function of
-/// `(seed, index)` and the reduction sees ratios in index order).
-pub fn try_run_jobs(
-    map: &TcdpMap,
-    ranges: &UncertaintyRanges,
-    config: &MonteCarloConfig,
-    jobs: usize,
-) -> Result<MonteCarloResult, PpatcError> {
-    try_run_with_jobs(map, ranges, config, jobs)
-}
-
-/// Runs a Monte-Carlo sweep over any [`RatioSource`], isolating per-sample
-/// failures.
-///
-/// Each drawn sample is evaluated independently; samples producing
-/// non-finite or non-positive ratios are recorded in the result's
-/// [`FailureBreakdown`] instead of aborting the sweep. Statistics are
-/// computed over the survivors. Returns
-/// [`PpatcError::FailureBudgetExceeded`] when the failed fraction exceeds
-/// [`MonteCarloConfig::failure_budget`], or
-/// [`PpatcError::NoSurvivingSamples`] when the budget tolerates the
-/// failures but every sample failed.
-pub fn try_run_with(
-    source: &dyn RatioSource,
-    ranges: &UncertaintyRanges,
-    config: &MonteCarloConfig,
-) -> Result<MonteCarloResult, PpatcError> {
-    ranges.validate()?;
-    let n = config.samples;
-    let before = ppatc_spice::recovery_counters();
-    let plan = SamplePlan::new(config.seed, ranges);
-    let sweep = Mapped {
-        values: (0..n)
-            .step_by(MC_BATCH)
-            .flat_map(|start| ratio_chunk(source, &plan, start, (start + MC_BATCH).min(n)))
-            .collect(),
-        panicked: Vec::new(),
-    };
-    summarize(sweep, config, pressure_since(before))
-}
-
 /// The exact scalar per-sample path — [`draw_sample`] plus one
 /// [`RatioSource::tcdp_ratio`] call per index — kept as the bit-identity
-/// oracle for the batched engine: every batched entry point must agree
-/// with this byte-for-byte for any worker count.
+/// oracle for the batched engine: [`try_run_supervised`] must agree with
+/// this byte-for-byte for any worker count.
 pub fn try_run_scalar(
     source: &(dyn RatioSource + Sync),
     ranges: &UncertaintyRanges,
@@ -598,28 +471,12 @@ pub fn try_run_scalar(
     jobs: usize,
 ) -> Result<MonteCarloResult, PpatcError> {
     ranges.validate()?;
-    let before = ppatc_spice::recovery_counters();
     let draw = |i: usize| source.tcdp_ratio(&draw_sample(config.seed, i as u64, ranges));
     let unlimited = RunBudget::unlimited();
     let sweep = crate::eval::par_map_chunks(config.samples, jobs, &unlimited, |start, end| {
         (start..end).map(draw).collect()
     })?;
-    summarize(sweep, config, pressure_since(before))
-}
-
-/// [`try_run_with`] sharded across `jobs` workers ([`try_run_supervised`]
-/// under a default [`Supervisor`]). Requires a thread-safe source; results
-/// are byte-identical to [`try_run_with`] for any worker count *provided
-/// the source is a pure function of the sample* (sources whose output
-/// depends on call order — e.g. call-counting fault injectors — should use
-/// the serial entry point).
-pub fn try_run_with_jobs(
-    source: &(dyn RatioSource + Sync),
-    ranges: &UncertaintyRanges,
-    config: &MonteCarloConfig,
-    jobs: usize,
-) -> Result<MonteCarloResult, PpatcError> {
-    try_run_supervised(source, ranges, config, jobs, &Supervisor::new())
+    summarize(sweep, config)
 }
 
 /// The checkpoint-journal identity of one sweep: seed and every range bound
@@ -644,21 +501,33 @@ fn journal_spec(config: &MonteCarloConfig, r: &UncertaintyRanges) -> JournalSpec
     JournalSpec::for_run::<f64>("montecarlo", config.samples, &params)
 }
 
-/// Supervised [`try_run_with_jobs`]: the sweep honors `supervisor`'s
-/// [`RunBudget`] at chunk boundaries, journals completed chunks when a
-/// checkpoint path is configured, isolates panicking samples as
-/// [`FailureBreakdown::worker_panic`] entries that count against the
-/// failure budget, and — when resuming — replays journaled samples instead
-/// of recomputing them.
+/// Runs a Monte-Carlo sweep over any [`RatioSource`] across `jobs`
+/// workers, isolating per-sample failures. This is the sweep's one entry
+/// point; [`try_run_scalar`] is its bit-identity oracle.
 ///
-/// With a default [`Supervisor`] this is [`try_run_with_jobs`].
+/// Samples producing non-finite or non-positive ratios, or panicking, are
+/// recorded in the result's [`FailureBreakdown`] instead of aborting the
+/// sweep, and statistics are computed over the survivors. The result is
+/// byte-identical for any worker count provided the source is a pure
+/// function of the sample; at `jobs = 1` the source sees the samples one
+/// at a time in index order, so a call-order-dependent source (a
+/// call-counting fault injector) behaves deterministically there.
+///
+/// The sweep honors `supervisor`'s [`RunBudget`] at chunk boundaries,
+/// journals completed chunks when a checkpoint path is configured, and —
+/// when resuming — replays journaled samples instead of recomputing them.
+/// A default [`Supervisor`] runs unbounded and unjournaled.
 ///
 /// # Errors
 ///
-/// Everything [`try_run_with_jobs`] can return, plus
-/// [`PpatcError::Interrupted`] (cancelled or past deadline; completed
-/// samples are journaled first, so `--resume` continues where it stopped)
-/// and [`PpatcError::Checkpoint`] for journal I/O or identity mismatches.
+/// [`PpatcError::Validation`] for invalid ranges,
+/// [`PpatcError::FailureBudgetExceeded`] when the failed fraction exceeds
+/// [`MonteCarloConfig::failure_budget`],
+/// [`PpatcError::NoSurvivingSamples`] when the budget tolerates the
+/// failures but every sample failed, [`PpatcError::Interrupted`]
+/// (cancelled or past deadline; completed samples are journaled first, so
+/// `--resume` continues where it stopped) and [`PpatcError::Checkpoint`]
+/// for journal I/O or identity mismatches.
 pub fn try_run_supervised(
     source: &(dyn RatioSource + Sync),
     ranges: &UncertaintyRanges,
@@ -668,7 +537,6 @@ pub fn try_run_supervised(
 ) -> Result<MonteCarloResult, PpatcError> {
     ranges.validate()?;
     let journal = supervisor.try_open_journal(&journal_spec(config, ranges))?;
-    let before = ppatc_spice::recovery_counters();
     let plan = SamplePlan::new(config.seed, ranges);
     let sweep = crate::eval::par_map_chunks_journaled(
         config.samples,
@@ -677,17 +545,16 @@ pub fn try_run_supervised(
         journal.as_ref(),
         |start, end| ratio_chunk(source, &plan, start, end),
     )?;
-    summarize(sweep, config, pressure_since(before))
+    summarize(sweep, config)
 }
 
-/// The serial reduction shared by every sweep entry point: counts each
-/// panicked sample as one more discarded sample, classifies the
+/// The serial reduction shared by the sweep and its scalar oracle: counts
+/// each panicked sample as one more discarded sample, classifies the
 /// index-ordered ratios, applies the failure budget, and computes survivor
 /// statistics with linearly interpolated quantiles.
 fn summarize(
     sweep: Mapped<f64>,
     config: &MonteCarloConfig,
-    recovery: SolverRecoveryPressure,
 ) -> Result<MonteCarloResult, PpatcError> {
     let n = sweep.values.len() + sweep.panicked.len();
     let mut survivors = Vec::with_capacity(sweep.values.len());
@@ -727,7 +594,6 @@ fn summarize(
         failures,
         p_m3d_wins: wins as f64 / m as f64,
         ratio_quantiles: (q(0.05), q(0.50), q(0.95)),
-        recovery,
     })
 }
 
@@ -787,67 +653,24 @@ fn interpolated_quantile(sorted: &[f64], p: f64) -> f64 {
 /// the tCDP-ratio variance that disappears when that source is pinned to
 /// its nominal value (a freeze-one-at-a-time importance measure).
 ///
-/// Returns `(source name, variance share in [0, 1])`, sorted descending.
+/// Returns `(source name, variance share in [0, 1])`, sorted descending;
+/// byte-identical for any worker count. Because every sample is a pure
+/// function of `(seed, index)` and every source always consumes exactly
+/// one draw, the frozen variants are *paired* with the base sweep: sample
+/// *i* of a frozen variant differs from base sample *i* only in the pinned
+/// source.
 ///
-/// This is the panicking convenience wrapper around [`try_sensitivity`].
-///
-/// # Panics
-///
-/// Panics if `n` is zero or a range is invalid.
-pub fn sensitivity(
-    map: &TcdpMap,
-    ranges: &UncertaintyRanges,
-    n: usize,
-    seed: u64,
-) -> Vec<(&'static str, f64)> {
-    match try_sensitivity(map, ranges, n, seed) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Variance-based sensitivity (see [`sensitivity`]), returning structured
-/// errors for invalid inputs. Non-finite sample ratios are skipped in the
-/// variance estimates.
-pub fn try_sensitivity(
-    map: &TcdpMap,
-    ranges: &UncertaintyRanges,
-    n: usize,
-    seed: u64,
-) -> Result<Vec<(&'static str, f64)>, PpatcError> {
-    try_sensitivity_jobs(map, ranges, n, seed, 1)
-}
-
-/// [`try_sensitivity`] sharded across `jobs` workers; byte-identical to the
-/// serial run for any worker count.
-///
-/// Because every sample is a pure function of `(seed, index)` and every
-/// source always consumes exactly one draw, the frozen variants are
-/// *paired* with the base sweep: sample *i* of a frozen variant differs
-/// from base sample *i* only in the pinned source.
-pub fn try_sensitivity_jobs(
-    map: &TcdpMap,
-    ranges: &UncertaintyRanges,
-    n: usize,
-    seed: u64,
-    jobs: usize,
-) -> Result<Vec<(&'static str, f64)>, PpatcError> {
-    try_sensitivity_supervised(map, ranges, n, seed, jobs, &RunBudget::unlimited())
-}
-
-/// [`try_sensitivity_jobs`] under a [`RunBudget`]: the base sweep and every
-/// frozen variant poll `budget` at chunk boundaries, so a cancellation or
-/// deadline stops the whole analysis with [`PpatcError::Interrupted`].
-///
+/// The base sweep and every frozen variant poll `budget` at chunk
+/// boundaries, so a cancellation or deadline stops the whole analysis.
 /// Sensitivity sweeps are not checkpointed: the six constituent sweeps are
 /// an order of magnitude cheaper than the headline Monte-Carlo run, and a
 /// variance share is not a per-index value a journal could resume.
-/// Panicking samples are skipped in the variance estimates exactly like
-/// non-finite ratios.
+/// Non-finite and panicking samples are skipped in the variance
+/// estimates.
 ///
 /// # Errors
 ///
-/// Everything [`try_sensitivity_jobs`] can return, plus
+/// [`PpatcError::Validation`] for zero samples or invalid ranges, and
 /// [`PpatcError::Interrupted`] when the budget stops a constituent sweep.
 pub fn try_sensitivity_supervised(
     map: &TcdpMap,
@@ -945,7 +768,8 @@ pub fn try_sensitivity_supervised(
 /// Each of the five sources consumes exactly one draw from the sample's
 /// counter-indexed stream, even when its range is degenerate (`hi == lo`),
 /// so pinning one source never shifts another source's draw — the property
-/// the paired sensitivity freezes in [`try_sensitivity`] rely on.
+/// the paired sensitivity freezes in [`try_sensitivity_supervised`] rely
+/// on.
 ///
 /// `ranges` are used as given; sweep entry points validate them first.
 pub fn draw_sample(seed: u64, index: u64, r: &UncertaintyRanges) -> UncertaintySample {
@@ -982,6 +806,8 @@ mod tests {
     use crate::usage::UsagePattern;
     use crate::CarbonTrajectory;
     use ppatc_units::{CarbonMass, Power, Time};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn map() -> TcdpMap {
         let exec = Time::from_seconds(0.04);
@@ -999,6 +825,33 @@ mod tests {
             exec,
         );
         TcdpMap::new(si, m3d, Lifetime::months(24.0), 0.50)
+    }
+
+    /// A serial sweep under a default supervisor, so a call-order-dependent
+    /// source sees the samples in index order.
+    fn sweep(
+        source: &(dyn RatioSource + Sync),
+        ranges: &UncertaintyRanges,
+        config: &MonteCarloConfig,
+    ) -> Result<MonteCarloResult, PpatcError> {
+        try_run_supervised(source, ranges, config, 1, &Supervisor::new())
+    }
+
+    /// A zero-budget sweep of `n` samples over `m` that must evaluate.
+    fn sweep_of(m: &TcdpMap, ranges: &UncertaintyRanges, n: usize, seed: u64) -> MonteCarloResult {
+        let config = MonteCarloConfig::new(n, seed).expect("valid config");
+        sweep(m, ranges, &config).expect("every sample evaluates")
+    }
+
+    /// The variance shares of `n` paired samples over `map`, serially.
+    fn shares_of(
+        map: &TcdpMap,
+        ranges: &UncertaintyRanges,
+        n: usize,
+        seed: u64,
+    ) -> Vec<(&'static str, f64)> {
+        try_sensitivity_supervised(map, ranges, n, seed, 1, &RunBudget::unlimited())
+            .expect("sensitivity evaluates")
     }
 
     #[test]
@@ -1040,16 +893,16 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let m = map();
-        let r1 = run(&m, &UncertaintyRanges::paper_default(), 2000, 42);
-        let r2 = run(&m, &UncertaintyRanges::paper_default(), 2000, 42);
+        let r1 = sweep_of(&m, &UncertaintyRanges::paper_default(), 2000, 42);
+        let r2 = sweep_of(&m, &UncertaintyRanges::paper_default(), 2000, 42);
         assert_eq!(r1, r2);
-        let r3 = run(&m, &UncertaintyRanges::paper_default(), 2000, 43);
+        let r3 = sweep_of(&m, &UncertaintyRanges::paper_default(), 2000, 43);
         assert_ne!(r1.ratio_quantiles, r3.ratio_quantiles);
     }
 
     #[test]
     fn probabilities_are_sane() {
-        let r = run(&map(), &UncertaintyRanges::paper_default(), 5000, 7);
+        let r = sweep_of(&map(), &UncertaintyRanges::paper_default(), 5000, 7);
         assert!((0.0..=1.0).contains(&r.p_m3d_wins));
         assert_eq!(r.evaluated, r.samples);
         assert_eq!(r.failures.total(), 0);
@@ -1074,7 +927,7 @@ mod tests {
             m3d_eop_scale: (1.0, 1.0),
         };
         let m = map();
-        let r = run(&m, &tight, 100, 1);
+        let r = sweep_of(&m, &tight, 100, 1);
         let nominal = m.ratio(1.0, 1.0);
         assert!((r.ratio_quantiles.1 - nominal).abs() < 1e-9);
         assert!(r.p_m3d_wins == 0.0 || r.p_m3d_wins == 1.0);
@@ -1091,8 +944,8 @@ mod tests {
             m3d_yield: (0.70, 0.90),
             ..UncertaintyRanges::paper_default()
         };
-        let p_lo = run(&m, &pessimistic, 4000, 9).p_m3d_wins;
-        let p_hi = run(&m, &optimistic, 4000, 9).p_m3d_wins;
+        let p_lo = sweep_of(&m, &pessimistic, 4000, 9).p_m3d_wins;
+        let p_hi = sweep_of(&m, &optimistic, 4000, 9).p_m3d_wins;
         assert!(p_hi > p_lo + 0.2, "win rates {p_lo:.2} vs {p_hi:.2}");
     }
 
@@ -1100,7 +953,7 @@ mod tests {
     fn sensitivity_identifies_the_yield_knob() {
         // Over the Fig. 6b ranges, the 10–90% yield span moves embodied
         // carbon by 5× — it must dominate the variance.
-        let shares = sensitivity(&map(), &UncertaintyRanges::paper_default(), 4000, 5);
+        let shares = shares_of(&map(), &UncertaintyRanges::paper_default(), 4000, 5);
         assert_eq!(shares.len(), 5);
         assert_eq!(shares[0].0, "M3D yield", "ranking: {shares:?}");
         assert!(shares[0].1 > 0.4, "yield share {:.2}", shares[0].1);
@@ -1118,7 +971,7 @@ mod tests {
             m3d_embodied_scale: (1.0, 1.0),
             m3d_eop_scale: (1.0, 1.0),
         };
-        let shares = sensitivity(&map(), &tight, 500, 1);
+        let shares = shares_of(&map(), &tight, 500, 1);
         for (_, s) in shares {
             assert_eq!(s, 0.0);
         }
@@ -1126,7 +979,7 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let r = run(&map(), &UncertaintyRanges::paper_default(), 500, 3);
+        let r = sweep_of(&map(), &UncertaintyRanges::paper_default(), 500, 3);
         let text = r.to_string();
         assert!(text.contains("sampled futures"));
         assert!(text.contains("p5/p50/p95"));
@@ -1137,7 +990,7 @@ mod tests {
         let mut bad = UncertaintyRanges::paper_default();
         bad.m3d_yield = (0.5, 1.7);
         let config = MonteCarloConfig::new(100, 1).expect("valid config");
-        match try_run(&map(), &bad, &config) {
+        match sweep(&map(), &bad, &config) {
             Err(PpatcError::Validation(v)) => {
                 assert_eq!(v.field, "m3d_yield");
                 assert_eq!(v.value, 1.7);
@@ -1147,7 +1000,7 @@ mod tests {
         let mut nan = UncertaintyRanges::paper_default();
         nan.ci_use_scale.0 = f64::NAN;
         assert!(matches!(
-            try_run(&map(), &nan, &config),
+            sweep(&map(), &nan, &config),
             Err(PpatcError::Validation(_))
         ));
     }
@@ -1161,12 +1014,12 @@ mod tests {
     /// A source that records every sample it is asked to evaluate.
     struct RecordingSource {
         inner: TcdpMap,
-        seen: core::cell::RefCell<Vec<UncertaintySample>>,
+        seen: Mutex<Vec<UncertaintySample>>,
     }
 
     impl RatioSource for RecordingSource {
         fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
-            self.seen.borrow_mut().push(*sample);
+            self.seen.lock().expect("unpoisoned").push(*sample);
             self.inner.ratio_sampled(sample)
         }
     }
@@ -1181,11 +1034,11 @@ mod tests {
         let record = |n: usize| {
             let source = RecordingSource {
                 inner: map(),
-                seen: core::cell::RefCell::new(Vec::new()),
+                seen: Mutex::new(Vec::new()),
             };
             let config = MonteCarloConfig::new(n, 12345).expect("valid config");
-            let _ = try_run_with(&source, &ranges, &config).expect("sweep runs");
-            source.seen.into_inner()
+            let _ = sweep(&source, &ranges, &config).expect("sweep runs");
+            source.seen.into_inner().expect("unpoisoned")
         };
         let small = record(100);
         let large = record(10_000);
@@ -1224,13 +1077,12 @@ mod tests {
     /// A source that replays a fixed ratio sequence in call order.
     struct SequenceSource {
         values: Vec<f64>,
-        calls: core::cell::Cell<usize>,
+        calls: AtomicUsize,
     }
 
     impl RatioSource for SequenceSource {
         fn tcdp_ratio(&self, _: &UncertaintySample) -> f64 {
-            let i = self.calls.get();
-            self.calls.set(i + 1);
+            let i = self.calls.fetch_add(1, Ordering::Relaxed);
             self.values[i % self.values.len()]
         }
     }
@@ -1242,10 +1094,10 @@ mod tests {
         // estimator gives rank p·9: p05 → 1.45, p50 → 5.5, p95 → 9.55.
         let source = SequenceSource {
             values: vec![10.0, 1.0, 9.0, 2.0, 8.0, 3.0, 7.0, 4.0, 6.0, 5.0],
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(10, 1).expect("valid config");
-        let r = try_run_with(&source, &UncertaintyRanges::paper_default(), &config)
+        let r = sweep(&source, &UncertaintyRanges::paper_default(), &config)
             .expect("all samples survive");
         let (q05, q50, q95) = r.ratio_quantiles;
         assert!((q05 - 1.45).abs() < 1e-12, "q05 = {q05}");
@@ -1268,13 +1120,13 @@ mod tests {
             .expect("valid")
             .with_failure_budget(1.0)
             .expect("valid budget");
-        match try_run_with(&AlwaysNan, &ranges, &tolerant) {
+        match sweep(&AlwaysNan, &ranges, &tolerant) {
             Err(PpatcError::NoSurvivingSamples { samples }) => assert_eq!(samples, 40),
             other => panic!("expected NoSurvivingSamples, got {other:?}"),
         }
         // With a zero budget, the budget violation is the primary cause.
         let strict = MonteCarloConfig::new(40, 1).expect("valid");
-        match try_run_with(&AlwaysNan, &ranges, &strict) {
+        match sweep(&AlwaysNan, &ranges, &strict) {
             Err(PpatcError::FailureBudgetExceeded {
                 failed, samples, ..
             }) => {
@@ -1328,19 +1180,15 @@ mod tests {
         let oracle = try_run_scalar(&m, &ranges, &config, 1).expect("scalar oracle");
         let bits = |q: (f64, f64, f64)| (q.0.to_bits(), q.1.to_bits(), q.2.to_bits());
         for jobs in [1, 2, 4, 8] {
-            let batched = try_run_jobs(&m, &ranges, &config, jobs).expect("batched sweep");
+            let batched = try_run_supervised(&m, &ranges, &config, jobs, &Supervisor::new())
+                .expect("batched sweep");
             assert_eq!(batched, oracle, "jobs = {jobs}");
             assert_eq!(
                 bits(batched.ratio_quantiles),
                 bits(oracle.ratio_quantiles),
                 "jobs = {jobs}"
             );
-            let supervised = try_run_supervised(&m, &ranges, &config, jobs, &Supervisor::new())
-                .expect("supervised sweep");
-            assert_eq!(supervised, oracle, "supervised, jobs = {jobs}");
         }
-        let serial = try_run(&m, &ranges, &config).expect("serial batched sweep");
-        assert_eq!(serial, oracle);
     }
 
     #[test]
@@ -1348,9 +1196,10 @@ mod tests {
         let m = map();
         let ranges = UncertaintyRanges::paper_default();
         let config = MonteCarloConfig::new(3000, 2024).expect("valid config");
-        let serial = try_run_jobs(&m, &ranges, &config, 1).expect("serial");
+        let serial = sweep(&m, &ranges, &config).expect("serial");
         for jobs in [2, 5, 8] {
-            let parallel = try_run_jobs(&m, &ranges, &config, jobs).expect("parallel");
+            let parallel = try_run_supervised(&m, &ranges, &config, jobs, &Supervisor::new())
+                .expect("parallel");
             assert_eq!(serial, parallel, "jobs = {jobs}");
             let bits = |q: (f64, f64, f64)| (q.0.to_bits(), q.1.to_bits(), q.2.to_bits());
             assert_eq!(
@@ -1365,13 +1214,12 @@ mod tests {
     struct FlakySource {
         inner: TcdpMap,
         every: usize,
-        calls: core::cell::Cell<usize>,
+        calls: AtomicUsize,
     }
 
     impl RatioSource for FlakySource {
         fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
-            let n = self.calls.get();
-            self.calls.set(n + 1);
+            let n = self.calls.fetch_add(1, Ordering::Relaxed);
             if n % self.every == 0 {
                 f64::NAN
             } else {
@@ -1385,14 +1233,13 @@ mod tests {
         let flaky = FlakySource {
             inner: map(),
             every: 10,
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(1000, 7)
             .expect("valid")
             .with_failure_budget(0.2)
             .expect("valid budget");
-        let r = try_run_with(&flaky, &UncertaintyRanges::paper_default(), &config)
-            .expect("within budget");
+        let r = sweep(&flaky, &UncertaintyRanges::paper_default(), &config).expect("within budget");
         assert_eq!(r.failures.non_finite_ratio, 100);
         assert_eq!(r.evaluated, 900);
         assert_eq!(r.samples, 1000);
@@ -1406,13 +1253,13 @@ mod tests {
         let flaky = FlakySource {
             inner: map(),
             every: 2,
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(1000, 7)
             .expect("valid")
             .with_failure_budget(0.2)
             .expect("valid budget");
-        match try_run_with(&flaky, &UncertaintyRanges::paper_default(), &config) {
+        match sweep(&flaky, &UncertaintyRanges::paper_default(), &config) {
             Err(PpatcError::FailureBudgetExceeded {
                 failed,
                 samples,
@@ -1432,13 +1279,13 @@ mod tests {
         // lone survivor.
         let source = SequenceSource {
             values: vec![f64::NAN, 5.0, f64::NAN],
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(3, 1)
             .expect("valid")
             .with_failure_budget(1.0)
             .expect("valid budget");
-        let r = try_run_with(&source, &UncertaintyRanges::paper_default(), &config)
+        let r = sweep(&source, &UncertaintyRanges::paper_default(), &config)
             .expect("one survivor is enough for statistics");
         assert_eq!(r.evaluated, 1);
         assert_eq!(r.failures.non_finite_ratio, 2);
@@ -1451,14 +1298,14 @@ mod tests {
         // survivors (sorted [1, 2]) at 1.05 / 1.5 / 1.95.
         let source = SequenceSource {
             values: vec![2.0, f64::NAN, 1.0],
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(3, 1)
             .expect("valid")
             .with_failure_budget(1.0)
             .expect("valid budget");
-        let r = try_run_with(&source, &UncertaintyRanges::paper_default(), &config)
-            .expect("two survivors");
+        let r =
+            sweep(&source, &UncertaintyRanges::paper_default(), &config).expect("two survivors");
         assert_eq!(r.evaluated, 2);
         let (q05, q50, q95) = r.ratio_quantiles;
         assert!((q05 - 1.05).abs() < 1e-12, "q05 = {q05}");
@@ -1479,11 +1326,10 @@ mod tests {
             .expect("valid")
             .with_failure_budget(1.0)
             .expect("valid budget");
-        let reference =
-            try_run_with_jobs(&AlwaysNan, &ranges, &config, 1).expect_err("nothing survives");
+        let reference = sweep(&AlwaysNan, &ranges, &config).expect_err("nothing survives");
         assert_eq!(reference, PpatcError::NoSurvivingSamples { samples: 64 });
         for jobs in [2, 8] {
-            let err = try_run_with_jobs(&AlwaysNan, &ranges, &config, jobs)
+            let err = try_run_supervised(&AlwaysNan, &ranges, &config, jobs, &Supervisor::new())
                 .expect_err("nothing survives");
             assert_eq!(err, reference, "jobs = {jobs}");
         }
@@ -1553,17 +1399,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_with_default_supervisor_matches_unsupervised() {
-        let m = map();
-        let ranges = UncertaintyRanges::paper_default();
-        let config = MonteCarloConfig::new(2000, 99).expect("valid");
-        let unsupervised = try_run_jobs(&m, &ranges, &config, 4).expect("unsupervised");
-        let supervised =
-            try_run_supervised(&m, &ranges, &config, 4, &Supervisor::new()).expect("supervised");
-        assert_eq!(unsupervised, supervised);
-    }
-
-    #[test]
     fn journal_spec_excludes_the_failure_budget() {
         let ranges = UncertaintyRanges::paper_default();
         let strict = MonteCarloConfig::new(100, 1).expect("valid");
@@ -1588,14 +1423,13 @@ mod tests {
         let flaky = FlakySource {
             inner: map(),
             every: 3,
-            calls: core::cell::Cell::new(0),
+            calls: AtomicUsize::new(0),
         };
         let config = MonteCarloConfig::new(900, 11)
             .expect("valid")
             .with_failure_budget(0.5)
             .expect("valid budget");
-        let r = try_run_with(&flaky, &UncertaintyRanges::paper_default(), &config)
-            .expect("within budget");
+        let r = sweep(&flaky, &UncertaintyRanges::paper_default(), &config).expect("within budget");
         assert_eq!(r.evaluated + r.failures.total(), r.samples);
         assert!((0.0..=1.0).contains(&r.p_m3d_wins));
     }

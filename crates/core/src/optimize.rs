@@ -16,7 +16,7 @@
 //! let run = Workload::matmul_int().execute()?;
 //! let best = Optimizer::new(DesignSpace::paper_default(), Lifetime::months(24.0))
 //!     .with_constraints(Constraints::new().with_max_execution_time(Time::from_seconds(0.05)))
-//!     .run(&run)
+//!     .run_jobs(&run, 1)
 //!     .into_iter()
 //!     .find(|c| c.feasible)
 //!     .ok_or("no feasible design")?;
@@ -190,20 +190,14 @@ impl Optimizer {
     }
 
     /// Evaluates every candidate that can be designed at all (logic and
-    /// memory close timing), ranking feasible candidates first, each group
-    /// by ascending tCDP.
-    pub fn run(&self, workload: &WorkloadRun) -> Vec<Candidate> {
-        self.run_jobs(workload, 1)
-    }
-
-    /// [`Optimizer::run`] with candidate evaluation sharded across `jobs`
-    /// workers (the supervised twin under an unlimited budget). The ranking
-    /// is byte-identical to the serial run for any worker count: candidates
-    /// are evaluated at fixed enumeration indices and merged back into
-    /// enumeration order before the (stable) sort. Repeated eDRAM
-    /// characterizations across candidates sharing a `(technology,
-    /// organization)` pair are served from [`ppatc_edram::EdramMacro`]'s
-    /// memo cache.
+    /// memory close timing) across `jobs` workers, ranking feasible
+    /// candidates first, each group by ascending tCDP (the supervised twin
+    /// under an unlimited budget). The ranking is byte-identical for any
+    /// worker count: candidates are evaluated at fixed enumeration indices
+    /// and merged back into enumeration order before the (stable) sort.
+    /// Repeated eDRAM characterizations across candidates sharing a
+    /// `(technology, organization)` pair are served from
+    /// [`ppatc_edram::EdramMacro`]'s memo cache.
     ///
     /// # Panics
     ///
@@ -311,14 +305,12 @@ impl Optimizer {
     }
 
     /// The Pareto front over (execution time, tCDP) among feasible
-    /// candidates: no returned design is beaten on both axes by another.
-    pub fn pareto_front(&self, workload: &WorkloadRun) -> Vec<Candidate> {
-        self.pareto_front_jobs(workload, 1)
-    }
-
-    /// [`Optimizer::pareto_front`] with candidate evaluation sharded across
-    /// `jobs` workers; byte-identical to the serial front for any worker
-    /// count.
+    /// candidates, evaluated across `jobs` workers: no returned design is
+    /// beaten on both axes by another. Byte-identical for any worker count.
+    ///
+    /// # Panics
+    ///
+    /// If a candidate evaluation panics.
     pub fn pareto_front_jobs(&self, workload: &WorkloadRun, jobs: usize) -> Vec<Candidate> {
         let all = self.run_jobs(workload, jobs);
         let feasible: Vec<&Candidate> = all.iter().filter(|c| c.feasible).collect();
@@ -371,7 +363,7 @@ mod tests {
     #[test]
     fn ranks_feasible_designs_by_tcdp() {
         let opt = Optimizer::new(small_space(), Lifetime::months(24.0));
-        let ranked = opt.run(run());
+        let ranked = opt.run_jobs(run(), 1);
         assert_eq!(ranked.len(), 4);
         for pair in ranked.windows(2) {
             if pair[0].feasible == pair[1].feasible {
@@ -389,7 +381,7 @@ mod tests {
         let opt = Optimizer::new(small_space(), Lifetime::months(24.0)).with_constraints(
             Constraints::new().with_max_execution_time(Time::from_seconds(1.0e-3)),
         );
-        let ranked = opt.run(run());
+        let ranked = opt.run_jobs(run(), 1);
         for c in &ranked {
             if c.f_clk.as_megahertz() < 300.0 {
                 assert!(!c.feasible, "250 MHz cannot meet 1 ms");
@@ -402,11 +394,11 @@ mod tests {
     #[test]
     fn m3d_wins_at_long_lifetimes_and_loses_early() {
         let opt_late = Optimizer::new(small_space(), Lifetime::months(24.0));
-        let best_late = &opt_late.run(run())[0];
+        let best_late = &opt_late.run_jobs(run(), 1)[0];
         assert_eq!(best_late.technology, Technology::M3dIgzoCnfetSi);
 
         let opt_early = Optimizer::new(small_space(), Lifetime::months(3.0));
-        let best_early = &opt_early.run(run())[0];
+        let best_early = &opt_early.run_jobs(run(), 1)[0];
         assert_eq!(best_early.technology, Technology::AllSi);
     }
 
@@ -421,7 +413,7 @@ mod tests {
                 Frequency::from_gigahertz(1.0),
             ],
         );
-        let ranked = Optimizer::new(space, Lifetime::months(24.0)).run(run());
+        let ranked = Optimizer::new(space, Lifetime::months(24.0)).run_jobs(run(), 1);
         assert_eq!(ranked.len(), 1);
         assert!((ranked[0].f_clk.as_megahertz() - 500.0).abs() < 1.0);
     }
@@ -429,7 +421,7 @@ mod tests {
     #[test]
     fn pareto_front_is_nondominated_and_sorted() {
         let opt = Optimizer::new(DesignSpace::paper_default(), Lifetime::months(24.0));
-        let front = opt.pareto_front(run());
+        let front = opt.pareto_front_jobs(run(), 1);
         assert!(!front.is_empty());
         for pair in front.windows(2) {
             assert!(pair[0].execution_time < pair[1].execution_time);
@@ -472,7 +464,7 @@ mod tests {
         let opt = Optimizer::new(small_space(), Lifetime::months(24.0)).with_constraints(
             Constraints::new().with_max_area(ppatc_units::Area::from_square_millimeters(0.09)),
         );
-        let ranked = opt.run(run());
+        let ranked = opt.run_jobs(run(), 1);
         for c in ranked {
             assert_eq!(c.feasible, c.technology == Technology::M3dIgzoCnfetSi);
         }

@@ -51,19 +51,6 @@ impl UsagePattern {
         })
     }
 
-    /// Panicking convenience wrapper around [`UsagePattern::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hours_per_day` is outside `(0, 24]` or the intensity is
-    /// negative or non-finite.
-    pub fn new(hours_per_day: f64, ci_use: CarbonIntensity) -> Self {
-        match Self::try_new(hours_per_day, ci_use) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Hours of active use per day.
     pub fn hours_per_day(&self) -> f64 {
         self.hours_per_day
@@ -81,20 +68,6 @@ impl UsagePattern {
         check::non_negative("ci_scale_factor", factor)?;
         self.ci_use = CarbonIntensity::new(self.ci_use.value() * factor);
         Ok(self)
-    }
-
-    /// Panicking convenience wrapper around
-    /// [`UsagePattern::try_with_ci_scaled`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or non-finite.
-    #[must_use]
-    pub fn with_ci_scaled(self, factor: f64) -> Self {
-        match self.try_with_ci_scaled(factor) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Duty cycle: the fraction of calendar time the system is active.
@@ -129,7 +102,8 @@ mod tests {
         // 10 mW for 2 h/day over 12 months on a 500 g/kWh grid:
         // energy = 0.01 kW/1000... = 1e-5 kW × (365.25/2 × 2 h)? lifetime
         // 12 months = 365.25 days; active hours = 730.5.
-        let usage = UsagePattern::new(2.0, CarbonIntensity::from_g_per_kwh(500.0));
+        let usage = UsagePattern::try_new(2.0, CarbonIntensity::from_g_per_kwh(500.0))
+            .expect("valid usage");
         let c = usage.operational_carbon(Power::from_milliwatts(10.0), Lifetime::months(12.0));
         let expected = 500.0 * (0.01e-3 * 730.5); // g/kWh × kWh
         assert!(
@@ -150,7 +124,9 @@ mod tests {
 
     #[test]
     fn ci_scaling() {
-        let usage = UsagePattern::paper_default().with_ci_scaled(3.0);
+        let usage = UsagePattern::paper_default()
+            .try_with_ci_scaled(3.0)
+            .expect("valid factor");
         assert!(approx_eq(usage.ci_use().as_g_per_kwh(), 1140.0, 1e-12));
     }
 
@@ -164,12 +140,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid 'hours_per_day'")]
-    fn invalid_hours_panics() {
-        let _ = UsagePattern::new(25.0, CarbonIntensity::from_g_per_kwh(380.0));
-    }
-
-    #[test]
     fn invalid_inputs_are_structured_errors() {
         let e = UsagePattern::try_new(0.0, CarbonIntensity::from_g_per_kwh(380.0))
             .expect_err("zero hours rejected");
@@ -177,6 +147,10 @@ mod tests {
         let e = UsagePattern::try_new(f64::NAN, CarbonIntensity::from_g_per_kwh(380.0))
             .expect_err("NaN hours rejected");
         assert_eq!(e.field, "hours_per_day");
+        let e = UsagePattern::try_new(25.0, CarbonIntensity::from_g_per_kwh(380.0))
+            .expect_err("25-hour day rejected");
+        assert_eq!(e.field, "hours_per_day");
+        assert!(e.to_string().contains("invalid 'hours_per_day'"), "{e}");
         let e = UsagePattern::try_new(2.0, CarbonIntensity::from_g_per_kwh(-1.0))
             .expect_err("negative CI rejected");
         assert_eq!(e.field, "ci_use");

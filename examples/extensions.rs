@@ -45,7 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== tCDP-optimal designs at 24 months, latency <= 45 ms ==");
     let optimizer = Optimizer::new(DesignSpace::paper_default(), Lifetime::months(24.0))
         .with_constraints(Constraints::new().with_max_execution_time(Time::from_seconds(0.045)));
-    for c in optimizer.run(&run).iter().filter(|c| c.feasible).take(5) {
+    let jobs = ppatc::eval::default_jobs();
+    for c in optimizer
+        .run_jobs(&run, jobs)
+        .iter()
+        .filter(|c| c.feasible)
+        .take(5)
+    {
         println!(
             "{:<18} {:>5} @ {:>4.0} MHz   tCDP {:.4} gCO2e/Hz   {:>5.1} ms   {:.2} mW",
             c.technology.to_string(),
@@ -58,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "Pareto front (time vs tCDP): {} designs",
-        optimizer.pareto_front(&run).len()
+        optimizer.pareto_front_jobs(&run, jobs).len()
     );
 
     // ---- 3. water ----

@@ -10,8 +10,8 @@
 //! cargo run --release --example uncertainty
 //! ```
 
-use ppatc::montecarlo::{self, UncertaintyRanges};
-use ppatc::{CaseStudy, Lifetime, Perturbation};
+use ppatc::montecarlo::{self, MonteCarloConfig, UncertaintyRanges};
+use ppatc::{CaseStudy, Lifetime, Perturbation, Supervisor};
 use ppatc_workloads::Workload;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -88,7 +88,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Joint Monte Carlo: all uncertainty sources at once, at the
     //    nominal design point.
     println!("\n== joint Monte Carlo over all Fig. 6b uncertainty sources ==");
-    let mc = montecarlo::run(&map, &UncertaintyRanges::paper_default(), 20_000, 2025);
+    let config = MonteCarloConfig::new(20_000, 2025)?;
+    let ranges = UncertaintyRanges::paper_default();
+    let jobs = ppatc::eval::default_jobs();
+    let mc = montecarlo::try_run_supervised(&map, &ranges, &config, jobs, &Supervisor::new())?;
     println!("{mc}");
     Ok(())
 }

@@ -1,10 +1,10 @@
 //! Integration tests for the extension features, spanning crates the way a
 //! downstream adopter would combine them.
 
-use ppatc::montecarlo::{self, UncertaintyRanges};
+use ppatc::montecarlo::{self, MonteCarloConfig, UncertaintyRanges};
 use ppatc::optimize::{DesignSpace, Optimizer};
 use ppatc::standby::{standby_power, StandbyPolicy};
-use ppatc::{Lifetime, SystemDesign, Technology};
+use ppatc::{Lifetime, Supervisor, SystemDesign, Technology};
 use ppatc_fab::act::ActNode;
 use ppatc_fab::cost::CostModel;
 use ppatc_fab::water::WaterModel;
@@ -63,7 +63,10 @@ fn standby_and_montecarlo_compose_with_the_case_study() {
 
     // Monte Carlo at the nominal point is contested.
     let map = study.tcdp_map(Lifetime::months(24.0));
-    let mc = montecarlo::run(&map, &UncertaintyRanges::paper_default(), 5_000, 11);
+    let config = MonteCarloConfig::new(5_000, 11).expect("sample count >= 1");
+    let ranges = UncertaintyRanges::paper_default();
+    let mc = montecarlo::try_run_supervised(&map, &ranges, &config, 1, &Supervisor::new())
+        .expect("paper-default sweep evaluates");
     assert!((0.05..0.95).contains(&mc.p_m3d_wins));
 
     // Under state-retentive standby, the M3D advantage strengthens, so the
@@ -90,7 +93,7 @@ fn optimizer_agrees_with_the_case_study_at_the_papers_point() {
         vec![ppatc::SiVtFlavor::Rvt],
         vec![Frequency::from_megahertz(500.0)],
     );
-    let ranked = Optimizer::new(space, Lifetime::months(24.0)).run(&run);
+    let ranked = Optimizer::new(space, Lifetime::months(24.0)).run_jobs(&run, 1);
     assert_eq!(ranked.len(), 2);
     let ratio = ranked
         .iter()
@@ -140,9 +143,10 @@ fn workload_mix_brackets_its_components() {
     let p_heavy = design.evaluate(&heavy).operational_power;
     let p_light = design.evaluate(&light).operational_power;
     let blend = WorkloadMix::new()
-        .with(heavy, 1.0)
-        .with(light, 1.0)
-        .evaluate(&design)
+        .try_with(heavy, 1.0)
+        .and_then(|mix| mix.try_with(light, 1.0))
+        .and_then(|mix| mix.try_evaluate(&design))
+        .expect("two-app mix evaluates")
         .operational_power;
     assert!(blend > p_light.min(p_heavy) && blend < p_light.max(p_heavy));
 }

@@ -7,11 +7,11 @@
 //! per-sample faults in a Monte-Carlo sweep are isolated and counted
 //! rather than aborting the sweep.
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use ppatc::montecarlo::{
-    self, MonteCarloConfig, RatioSource, UncertaintyRanges, UncertaintySample,
+    self, MonteCarloConfig, MonteCarloResult, RatioSource, UncertaintyRanges, UncertaintySample,
 };
 use ppatc::{
     CarbonTrajectory, EmbodiedPipeline, Lifetime, PpatcError, SystemDesign, TcdpMap, Technology,
@@ -45,6 +45,16 @@ fn paper_map() -> TcdpMap {
         Lifetime::months(24.0),
         0.81,
     )
+}
+
+/// A serial Monte-Carlo sweep under a default supervisor, so a
+/// call-order-dependent source sees the samples in index order.
+fn sweep(
+    source: &(dyn RatioSource + Sync),
+    ranges: &UncertaintyRanges,
+    config: &MonteCarloConfig,
+) -> Result<MonteCarloResult, PpatcError> {
+    montecarlo::try_run_supervised(source, ranges, config, 1, &ppatc::Supervisor::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -145,19 +155,19 @@ fn inverted_and_nan_ranges_are_structured_errors() {
 
     let mut inverted = UncertaintyRanges::paper_default();
     inverted.lifetime_months = (36.0, 12.0);
-    let err = no_panic("try_run with inverted range", || {
-        montecarlo::try_run(&map, &inverted, &config)
+    let err = no_panic("Monte Carlo with inverted range", || {
+        sweep(&map, &inverted, &config)
     })
     .expect_err("inverted range must be rejected");
     assert!(matches!(err, PpatcError::Validation(_)), "{err}");
 
     let mut nan_hi = UncertaintyRanges::paper_default();
     nan_hi.ci_use_scale = (0.5, f64::NAN);
-    assert!(montecarlo::try_run(&map, &nan_hi, &config).is_err());
+    assert!(sweep(&map, &nan_hi, &config).is_err());
 
     let mut wild_yield = UncertaintyRanges::paper_default();
     wild_yield.m3d_yield = (0.5, 1.5);
-    assert!(montecarlo::try_run(&map, &wild_yield, &config).is_err());
+    assert!(sweep(&map, &wild_yield, &config).is_err());
 }
 
 /// A ratio source that corrupts every `nan_every`-th evaluation with NaN
@@ -166,13 +176,12 @@ struct FaultySource {
     inner: TcdpMap,
     nan_every: usize,
     neg_every: usize,
-    calls: Cell<usize>,
+    calls: AtomicUsize,
 }
 
 impl RatioSource for FaultySource {
     fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
-        let n = self.calls.get() + 1;
-        self.calls.set(n);
+        let n = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
         if n % self.nan_every == 0 {
             f64::NAN
         } else if n % self.neg_every == 0 {
@@ -189,14 +198,14 @@ fn injected_sample_faults_are_isolated_and_counted_per_cause() {
         inner: paper_map(),
         nan_every: 10,
         neg_every: 7,
-        calls: Cell::new(0),
+        calls: AtomicUsize::new(0),
     };
     let config = MonteCarloConfig::new(700, 42)
         .expect("valid config")
         .with_failure_budget(0.5)
         .expect("valid budget");
-    let result = no_panic("try_run_with under injected faults", || {
-        montecarlo::try_run_with(&source, &UncertaintyRanges::paper_default(), &config)
+    let result = no_panic("Monte Carlo under injected faults", || {
+        sweep(&source, &UncertaintyRanges::paper_default(), &config)
     })
     .expect("sweep completes despite injected faults");
 
@@ -221,8 +230,8 @@ fn blown_failure_budget_is_an_error_not_a_panic() {
         }
     }
     let config = MonteCarloConfig::new(50, 3).expect("valid config");
-    let err = no_panic("try_run_with with 100% faults", || {
-        montecarlo::try_run_with(&AlwaysNan, &UncertaintyRanges::paper_default(), &config)
+    let err = no_panic("Monte Carlo with 100% faults", || {
+        sweep(&AlwaysNan, &UncertaintyRanges::paper_default(), &config)
     })
     .expect_err("nothing survives");
     match err {
@@ -333,22 +342,6 @@ fn scratch_journal(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ppatc-chaos-{}-{name}.journal", std::process::id()))
 }
 
-/// Asserts two Monte-Carlo results agree on everything the samples
-/// determine. The `recovery` field is deliberately excluded: it snapshots
-/// process-wide SPICE ladder counters, which other tests in this binary
-/// bump concurrently.
-fn assert_same_samples(a: &montecarlo::MonteCarloResult, b: &montecarlo::MonteCarloResult) {
-    assert_eq!(a.samples, b.samples);
-    assert_eq!(a.evaluated, b.evaluated);
-    assert_eq!(a.failures, b.failures);
-    assert_eq!(a.p_m3d_wins.to_bits(), b.p_m3d_wins.to_bits());
-    let (a05, a50, a95) = a.ratio_quantiles;
-    let (b05, b50, b95) = b.ratio_quantiles;
-    assert_eq!(a05.to_bits(), b05.to_bits());
-    assert_eq!(a50.to_bits(), b50.to_bits());
-    assert_eq!(a95.to_bits(), b95.to_bits());
-}
-
 /// A ratio source that panics on one specific sample index sequence: every
 /// call whose drawn lifetime falls below a cut. Deterministic in the
 /// sample, so serial and parallel runs fail identically.
@@ -397,13 +390,12 @@ fn injected_worker_panics_stay_within_the_failure_budget_at_eight_workers() {
     // the same panics on the same indices and the same survivors.
     let serial = montecarlo::try_run_supervised(&source, &ranges, &config, 1, &supervisor)
         .expect("serial sweep completes");
-    assert_same_samples(&serial, &parallel);
+    assert_eq!(serial, parallel);
 }
 
 #[test]
 fn cancellation_at_random_chunk_boundaries_reports_coalesced_progress() {
     use ppatc_units::rng::SplitMix64;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     let mut rng = SplitMix64::new(0xC4A0_5);
     let n = 5_000usize;
@@ -477,8 +469,6 @@ fn deadline_exhaustion_interrupts_a_raster_with_a_typed_reason() {
 
 #[test]
 fn interrupted_monte_carlo_resumes_byte_identically_from_its_journal() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     let path = scratch_journal("montecarlo-resume");
     let _ = std::fs::remove_file(&path);
     let config = MonteCarloConfig::new(3_000, 2025).expect("valid config");
@@ -486,8 +476,7 @@ fn interrupted_monte_carlo_resumes_byte_identically_from_its_journal() {
     let map = paper_map();
 
     // Reference: the uninterrupted, unjournaled sweep.
-    let reference =
-        montecarlo::try_run_jobs(&map, &ranges, &config, 1).expect("reference sweep completes");
+    let reference = sweep(&map, &ranges, &config).expect("reference sweep completes");
 
     // A source that cancels its own run partway through.
     struct SelfCancelling<'a> {
@@ -529,8 +518,53 @@ fn interrupted_monte_carlo_resumes_byte_identically_from_its_journal() {
         .resuming(true);
     let resumed = montecarlo::try_run_supervised(&map, &ranges, &config, 4, &resumed_supervisor)
         .expect("resume completes");
-    assert_same_samples(&reference, &resumed);
+    assert_eq!(reference, resumed);
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn monte_carlo_results_ignore_solves_rescued_on_other_threads() {
+    // A sweep evaluates closed-form ratios and runs no SPICE, so a DC solve
+    // that another thread rescues while the sweep runs must not show in
+    // its result. The first sample waits for such a solve, so the solve
+    // lands inside the sweep.
+    struct SolveDuringSweep {
+        inner: TcdpMap,
+        solved: AtomicBool,
+        rescued: AtomicBool,
+    }
+    impl RatioSource for SolveDuringSweep {
+        fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
+            if !self.solved.swap(true, Ordering::Relaxed) {
+                let rescued = std::thread::scope(|scope| {
+                    scope
+                        .spawn(|| {
+                            let (c, _) = inverter_at_midrail();
+                            c.dc_operating_point_recovered_with(DcOptions::new().with_max_iter(5))
+                                .is_ok_and(|(_, log)| log.recovery_was_needed())
+                        })
+                        .join()
+                });
+                self.rescued
+                    .store(matches!(rescued, Ok(true)), Ordering::Relaxed);
+            }
+            self.inner.tcdp_ratio(sample)
+        }
+    }
+    let config = MonteCarloConfig::new(500, 31).expect("valid config");
+    let ranges = UncertaintyRanges::paper_default();
+    let source = SolveDuringSweep {
+        inner: paper_map(),
+        solved: AtomicBool::new(false),
+        rescued: AtomicBool::new(false),
+    };
+    let disturbed = sweep(&source, &ranges, &config).expect("disturbed sweep completes");
+    assert!(
+        source.rescued.load(Ordering::Relaxed),
+        "the starved solve must need the recovery ladder"
+    );
+    let quiet = sweep(&paper_map(), &ranges, &config).expect("quiet sweep completes");
+    assert_eq!(disturbed, quiet);
 }
 
 #[test]
@@ -628,7 +662,6 @@ fn every_layer_error_converts_into_ppatc_error() {
 
 #[test]
 fn an_already_expired_deadline_interrupts_before_the_first_item() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
     let past = std::time::Instant::now();
     for (label, budget) in [
         (
@@ -669,7 +702,6 @@ fn an_already_expired_deadline_interrupts_before_the_first_item() {
 
 #[test]
 fn cancellation_raced_from_a_second_thread_interrupts_cooperatively() {
-    use std::sync::atomic::{AtomicBool, Ordering};
     let n = 4_000usize;
     let token = ppatc::CancelToken::new();
     let budget = ppatc::RunBudget::unlimited().with_cancel(&token);

@@ -8,7 +8,7 @@
 
 use ppatc::montecarlo::{self, MonteCarloConfig, UncertaintyRanges};
 use ppatc::optimize::{DesignSpace, Optimizer};
-use ppatc::{CaseStudy, Lifetime};
+use ppatc::{CaseStudy, Lifetime, RunBudget, Supervisor};
 use ppatc_workloads::{Workload, WorkloadRun};
 use std::sync::OnceLock;
 
@@ -29,10 +29,12 @@ fn monte_carlo_is_byte_identical_across_worker_counts() {
     let map = study.tcdp_map(Lifetime::months(24.0));
     let ranges = UncertaintyRanges::paper_default();
     let config = MonteCarloConfig::new(5000, 42).expect("sample count >= 1");
-    let serial = montecarlo::try_run_jobs(&map, &ranges, &config, 1).expect("serial run");
+    let sweep = |jobs: usize| {
+        montecarlo::try_run_supervised(&map, &ranges, &config, jobs, &Supervisor::new())
+    };
+    let serial = sweep(1).expect("serial run");
     for jobs in JOBS {
-        let parallel =
-            montecarlo::try_run_jobs(&map, &ranges, &config, jobs).expect("parallel run");
+        let parallel = sweep(jobs).expect("parallel run");
         assert_eq!(serial, parallel, "jobs = {jobs}");
         // PartialEq on f64 admits -0.0 == 0.0; pin the actual bits too.
         let (s05, s50, s95) = serial.ratio_quantiles;
@@ -50,11 +52,19 @@ fn sensitivity_shares_are_byte_identical_across_worker_counts() {
     let study = CaseStudy::paper(short_matmul()).expect("case study builds");
     let map = study.tcdp_map(Lifetime::months(24.0));
     let ranges = UncertaintyRanges::paper_default();
-    let serial =
-        montecarlo::try_sensitivity_jobs(&map, &ranges, 2000, 42, 1).expect("serial shares");
+    let shares = |jobs: usize| {
+        montecarlo::try_sensitivity_supervised(
+            &map,
+            &ranges,
+            2000,
+            42,
+            jobs,
+            &RunBudget::unlimited(),
+        )
+    };
+    let serial = shares(1).expect("serial shares");
     for jobs in JOBS {
-        let parallel =
-            montecarlo::try_sensitivity_jobs(&map, &ranges, 2000, 42, jobs).expect("shares");
+        let parallel = shares(jobs).expect("shares");
         assert_eq!(serial.len(), parallel.len(), "jobs = {jobs}");
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.0, p.0, "source order, jobs = {jobs}");
