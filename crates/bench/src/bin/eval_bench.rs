@@ -216,7 +216,7 @@ fn main() -> ExitCode {
   "methodology": "median of {RUNS} warm runs per row; serial-vs-parallel results asserted byte-identical before timing is reported",
   "host": {{
     "available_parallelism": {cores},
-    "note": "on a 1-core host the parallel rows measure engine overhead only; the Monte-Carlo and raster stages scale with cores because every sample/point is a pure function of its index. Regenerate on the target host with the command above."
+    "note": "rows above jobs_{cores} measure engine overhead only on this {cores}-core host; the Monte-Carlo and raster stages scale with cores because every sample/point is a pure function of its index. Regenerate on the target host with the command above."
   }},
   "monte_carlo_{samples}_samples_ms": {{
 {mc_rows}

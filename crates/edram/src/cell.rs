@@ -201,10 +201,9 @@ impl BitCell {
 
         let cfg = TransientConfig::new(Time::from_nanoseconds(3.0), Time::from_picoseconds(2.0))
             .with_initial_voltage(sn, Voltage::zero());
-        let trace = ckt.transient(&cfg)?;
         let target = Voltage::from_volts(VDD.as_volts() * 0.9);
-        let t = trace
-            .crossing(sn, target, Edge::Rising, Time::from_picoseconds(50.0))
+        let t = ckt
+            .transient_crossing(&cfg, sn, target, Edge::Rising, Time::from_picoseconds(50.0))?
             .ok_or(EdramError::MissingTransition {
                 what: "storage-node write",
             })?;
@@ -259,10 +258,15 @@ impl BitCell {
 
         let cfg = TransientConfig::new(Time::from_nanoseconds(1.5), Time::from_picoseconds(2.0))
             .with_initial_voltage(rbl, VDD);
-        let trace = ckt.transient(&cfg)?;
         let sense = Voltage::from_volts(VDD.as_volts() - 0.1);
-        let t = trace
-            .crossing(rbl, sense, Edge::Falling, Time::from_picoseconds(50.0))
+        let t = ckt
+            .transient_crossing(
+                &cfg,
+                rbl,
+                sense,
+                Edge::Falling,
+                Time::from_picoseconds(50.0),
+            )?
             .ok_or(EdramError::MissingTransition {
                 what: "bitline sense-margin",
             })?;

@@ -150,14 +150,14 @@ fn simulate_sense_amp(technology: Technology, org: &Organization) -> Result<Time
         .with_initial_voltage(blt, vdd)
         .with_initial_voltage(blc, Voltage::from_volts(vdd.as_volts() - 0.1))
         .with_initial_voltage(sen, vdd);
-    let trace = ckt.transient(&cfg)?;
-    let t = trace
-        .crossing(
+    let t = ckt
+        .transient_crossing(
+            &cfg,
             blc,
             Voltage::from_volts(0.1 * vdd.as_volts()),
             Edge::Falling,
             Time::from_picoseconds(50.0),
-        )
+        )?
         .ok_or(EdramError::MissingTransition {
             what: "sense-amplifier regeneration",
         })?;

@@ -3,22 +3,64 @@
 //!
 //! All four binaries take the same supervision flags (`--jobs`/`--workers`,
 //! `--deadline`); parsing them here keeps the front ends in agreement on
-//! validation — in particular, `--jobs 0` is a structured
-//! [`ValidationError`], never a silent clamp to one worker, and operands
-//! are normalized the same way everywhere: surrounding whitespace is
-//! trimmed and one leading `+` sign is accepted, so `--jobs +8` and
-//! `--deadline " 1.5"` parse while `--jobs ""` reports *empty*, not a
-//! baffling `NaN is not a worker count`.
+//! validation — in particular, `--jobs 0` is a structured [`OperandError`],
+//! never a silent clamp to one worker, and operands are normalized the
+//! same way everywhere: surrounding whitespace is trimmed and one leading
+//! `+` sign is accepted, so `--jobs +8` and `--deadline " 1.5"` parse. A
+//! rejected operand is quoted as given: `--jobs abc` reports `"abc" is not
+//! a count >= 1`, `--jobs ""` reports that the operand is empty, and a
+//! flag with no operand reports that it is missing.
 
-use ppatc::ValidationError;
+use std::fmt;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// A rejected flag operand.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OperandError {
+    /// Name of the flag's parameter, e.g. `"jobs"`.
+    pub field: &'static str,
+    /// The operand as given; `None` when the flag ends the argument list.
+    pub operand: Option<String>,
+    /// What the flag takes, e.g. `"a count >= 1"`.
+    pub requirement: &'static str,
+}
+
+impl OperandError {
+    fn new(field: &'static str, operand: Option<&str>, requirement: &'static str) -> Self {
+        Self {
+            field,
+            operand: operand.map(str::to_owned),
+            requirement,
+        }
+    }
+}
+
+impl fmt::Display for OperandError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (field, takes) = (self.field, self.requirement);
+        match self.operand.as_deref() {
+            None => write!(
+                f,
+                "invalid '{field}': missing operand; the flag takes {takes}"
+            ),
+            Some(op) if normalize(op).is_none() => {
+                write!(
+                    f,
+                    "invalid '{field}': {op:?} is empty; the flag takes {takes}"
+                )
+            }
+            Some(op) => write!(f, "invalid '{field}': {op:?} is not {takes}"),
+        }
+    }
+}
+
+impl std::error::Error for OperandError {}
 
 /// Normalizes one CLI operand: trims surrounding ASCII whitespace and
 /// strips at most one leading `+` sign (so `+8` and `8` are the same
 /// worker count). Returns `None` for an operand that is empty after
-/// trimming — callers report that as its own requirement text instead of
-/// surfacing a parse artifact like `NaN`.
+/// trimming, which [`OperandError`] reports as empty.
 fn normalize(raw: &str) -> Option<&str> {
     let trimmed = raw.trim();
     let unsigned = trimmed.strip_prefix('+').unwrap_or(trimmed);
@@ -40,27 +82,12 @@ fn normalize(raw: &str) -> Option<&str> {
 ///
 /// # Errors
 ///
-/// [`ValidationError`] on a missing, empty, malformed, or zero operand.
-pub fn try_parse_count(field: &'static str, raw: Option<&str>) -> Result<usize, ValidationError> {
-    let Some(raw) = raw else {
-        return Err(ValidationError::new(
-            field,
-            f64::NAN,
-            "present: the flag takes a count >= 1",
-        ));
-    };
-    let Some(digits) = normalize(raw) else {
-        return Err(ValidationError::new(
-            field,
-            f64::NAN,
-            "non-empty: the flag takes a count >= 1",
-        ));
-    };
-    match digits.parse::<usize>() {
-        Ok(0) => Err(ValidationError::new(field, 0.0, "a count >= 1")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(ValidationError::new(field, f64::NAN, "a count >= 1")),
-    }
+/// [`OperandError`] on a missing, empty, malformed, or zero operand.
+pub fn try_parse_count(field: &'static str, raw: Option<&str>) -> Result<usize, OperandError> {
+    raw.and_then(normalize)
+        .and_then(|digits| digits.parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| OperandError::new(field, raw, "a count >= 1"))
 }
 
 /// Parses a `--jobs`/`--workers` operand via [`try_parse_count`]: a worker
@@ -68,8 +95,8 @@ pub fn try_parse_count(field: &'static str, raw: Option<&str>) -> Result<usize, 
 ///
 /// # Errors
 ///
-/// [`ValidationError`] on a missing, empty, malformed, or zero operand.
-pub fn try_parse_jobs(raw: Option<&str>) -> Result<usize, ValidationError> {
+/// [`OperandError`] on a missing, empty, malformed, or zero operand.
+pub fn try_parse_jobs(raw: Option<&str>) -> Result<usize, OperandError> {
     try_parse_count("jobs", raw)
 }
 
@@ -80,41 +107,19 @@ pub fn try_parse_jobs(raw: Option<&str>) -> Result<usize, ValidationError> {
 ///
 /// # Errors
 ///
-/// [`ValidationError`] on a missing, empty, malformed, non-finite, or
+/// [`OperandError`] on a missing, empty, malformed, non-finite, or
 /// non-positive operand, or on one too large to schedule.
-pub fn try_parse_deadline(raw: Option<&str>) -> Result<Duration, ValidationError> {
-    let Some(raw) = raw else {
-        return Err(ValidationError::new(
-            "deadline",
-            f64::NAN,
-            "present: the flag takes a positive number of seconds",
-        ));
-    };
-    let Some(number) = normalize(raw) else {
-        return Err(ValidationError::new(
-            "deadline",
-            f64::NAN,
-            "non-empty: the flag takes a positive number of seconds",
-        ));
-    };
-    let secs = number.parse::<f64>().unwrap_or(f64::NAN);
-    if !(secs.is_finite() && secs > 0.0) {
-        return Err(ValidationError::new(
-            "deadline",
-            secs,
-            "a positive number of seconds",
-        ));
-    }
+pub fn try_parse_deadline(raw: Option<&str>) -> Result<Duration, OperandError> {
+    let invalid = |requirement| OperandError::new("deadline", raw, requirement);
+    let secs = raw
+        .and_then(normalize)
+        .and_then(|number| number.parse::<f64>().ok())
+        .filter(|secs| secs.is_finite() && *secs > 0.0)
+        .ok_or_else(|| invalid("a positive number of seconds"))?;
     Duration::try_from_secs_f64(secs)
         .ok()
         .filter(|d| Instant::now().checked_add(*d).is_some())
-        .ok_or_else(|| {
-            ValidationError::new(
-                "deadline",
-                secs,
-                "a number of seconds small enough to schedule from now",
-            )
-        })
+        .ok_or_else(|| invalid("a number of seconds small enough to schedule from now"))
 }
 
 /// Parses a count operand that may legitimately be zero (restart
@@ -124,28 +129,14 @@ pub fn try_parse_deadline(raw: Option<&str>) -> Result<Duration, ValidationError
 ///
 /// # Errors
 ///
-/// [`ValidationError`] on a missing, empty, or malformed operand.
+/// [`OperandError`] on a missing, empty, or malformed operand.
 pub fn try_parse_count_or_zero(
     field: &'static str,
     raw: Option<&str>,
-) -> Result<usize, ValidationError> {
-    let Some(raw) = raw else {
-        return Err(ValidationError::new(
-            field,
-            f64::NAN,
-            "present: the flag takes a count >= 0",
-        ));
-    };
-    let Some(digits) = normalize(raw) else {
-        return Err(ValidationError::new(
-            field,
-            f64::NAN,
-            "non-empty: the flag takes a count >= 0",
-        ));
-    };
-    digits
-        .parse::<usize>()
-        .map_err(|_| ValidationError::new(field, f64::NAN, "a count >= 0"))
+) -> Result<usize, OperandError> {
+    raw.and_then(normalize)
+        .and_then(|digits| digits.parse::<usize>().ok())
+        .ok_or_else(|| OperandError::new(field, raw, "a count >= 0"))
 }
 
 /// Parses a filesystem-path operand (`--cache-journal`). The only
@@ -156,24 +147,12 @@ pub fn try_parse_count_or_zero(
 ///
 /// # Errors
 ///
-/// [`ValidationError`] on a missing or empty operand.
-pub fn try_parse_path(field: &'static str, raw: Option<&str>) -> Result<PathBuf, ValidationError> {
-    let Some(raw) = raw else {
-        return Err(ValidationError::new(
-            field,
-            f64::NAN,
-            "present: the flag takes a file path",
-        ));
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Err(ValidationError::new(
-            field,
-            f64::NAN,
-            "non-empty: the flag takes a file path",
-        ));
-    }
-    Ok(PathBuf::from(trimmed))
+/// [`OperandError`] on a missing or empty operand.
+pub fn try_parse_path(field: &'static str, raw: Option<&str>) -> Result<PathBuf, OperandError> {
+    raw.map(str::trim)
+        .filter(|path| !path.is_empty())
+        .map(PathBuf::from)
+        .ok_or_else(|| OperandError::new(field, raw, "a file path"))
 }
 
 /// Parses a `--port` operand: any integer in `[0, 65535]` (0 asks the OS
@@ -181,26 +160,12 @@ pub fn try_parse_path(field: &'static str, raw: Option<&str>) -> Result<PathBuf,
 ///
 /// # Errors
 ///
-/// [`ValidationError`] on a missing, empty, malformed, or out-of-range
+/// [`OperandError`] on a missing, empty, malformed, or out-of-range
 /// operand.
-pub fn try_parse_port(raw: Option<&str>) -> Result<u16, ValidationError> {
-    let Some(raw) = raw else {
-        return Err(ValidationError::new(
-            "port",
-            f64::NAN,
-            "present: the flag takes a port in [0, 65535]",
-        ));
-    };
-    let Some(digits) = normalize(raw) else {
-        return Err(ValidationError::new(
-            "port",
-            f64::NAN,
-            "non-empty: the flag takes a port in [0, 65535]",
-        ));
-    };
-    digits
-        .parse::<u16>()
-        .map_err(|_| ValidationError::new("port", f64::NAN, "a port in [0, 65535]"))
+pub fn try_parse_port(raw: Option<&str>) -> Result<u16, OperandError> {
+    raw.and_then(normalize)
+        .and_then(|digits| digits.parse::<u16>().ok())
+        .ok_or_else(|| OperandError::new("port", raw, "a port in [0, 65535]"))
 }
 
 #[cfg(test)]
@@ -224,7 +189,8 @@ mod tests {
     fn jobs_zero_is_a_structured_error_not_a_clamp() {
         let e = try_parse_jobs(Some("0")).expect_err("zero workers rejected");
         assert_eq!(e.field, "jobs");
-        assert_eq!(e.value, 0.0);
+        assert_eq!(e.operand.as_deref(), Some("0"));
+        assert_eq!(e.to_string(), r#"invalid 'jobs': "0" is not a count >= 1"#);
         assert!(try_parse_jobs(Some("+0")).is_err(), "+0 is still zero");
     }
 
@@ -233,10 +199,10 @@ mod tests {
         for raw in ["", "   ", "+", " + "] {
             let e = try_parse_jobs(Some(raw)).expect_err("empty rejected");
             assert_eq!(e.field, "jobs");
-            assert!(
-                e.requirement.contains("non-empty"),
-                "message must say the operand was empty, got: {}",
-                e.requirement
+            assert_eq!(
+                e.to_string(),
+                format!("invalid 'jobs': {raw:?} is empty; the flag takes a count >= 1"),
+                "message must say the operand was empty"
             );
         }
     }
@@ -247,9 +213,17 @@ mod tests {
             let e = try_parse_jobs(Some(raw)).expect_err("garbage rejected");
             assert_eq!(e.field, "jobs");
         }
+        let e = try_parse_jobs(Some("two")).expect_err("garbage rejected");
+        assert_eq!(
+            e.to_string(),
+            r#"invalid 'jobs': "two" is not a count >= 1"#
+        );
         let e = try_parse_jobs(None).expect_err("dangling flag rejected");
         assert_eq!(e.field, "jobs");
-        assert!(e.requirement.contains("present"), "{}", e.requirement);
+        assert_eq!(
+            e.to_string(),
+            "invalid 'jobs': missing operand; the flag takes a count >= 1"
+        );
     }
 
     #[test]
@@ -289,7 +263,10 @@ mod tests {
     #[test]
     fn deadline_empty_operand_names_the_emptiness() {
         let e = try_parse_deadline(Some("  ")).expect_err("empty rejected");
-        assert!(e.requirement.contains("non-empty"), "{}", e.requirement);
+        assert_eq!(
+            e.to_string(),
+            r#"invalid 'deadline': "  " is empty; the flag takes a positive number of seconds"#
+        );
     }
 
     #[test]
@@ -323,6 +300,44 @@ mod tests {
         for raw in [Some(""), Some("   "), None] {
             let e = try_parse_path("cache-journal", raw).expect_err("rejected");
             assert_eq!(e.field, "cache-journal");
+        }
+    }
+
+    #[test]
+    fn no_parser_renders_a_rejected_operand_as_nan() {
+        type Parser = fn(Option<&str>) -> Result<(), OperandError>;
+        let parsers: [(&str, Parser); 6] = [
+            ("count", |raw| try_parse_count("queue", raw).map(drop)),
+            ("jobs", |raw| try_parse_jobs(raw).map(drop)),
+            ("deadline", |raw| try_parse_deadline(raw).map(drop)),
+            ("count_or_zero", |raw| {
+                try_parse_count_or_zero("restart-budget", raw).map(drop)
+            }),
+            ("path", |raw| try_parse_path("checkpoint", raw).map(drop)),
+            ("port", |raw| try_parse_port(raw).map(drop)),
+        ];
+        let operands = [
+            None,
+            Some(""),
+            Some("  "),
+            Some("+"),
+            Some("two"),
+            Some("0x10"),
+        ];
+        for (name, parse) in parsers {
+            for raw in operands {
+                // A path parser accepts "+", "two" and "0x10" as file names.
+                let Err(e) = parse(raw) else { continue };
+                let message = e.to_string();
+                assert!(!message.contains("NaN"), "{name} {raw:?}: {message}");
+                match raw {
+                    Some(op) => assert!(
+                        message.contains(&format!("{op:?}")),
+                        "{name} {raw:?}: the operand is quoted in `{message}`"
+                    ),
+                    None => assert!(message.contains("missing operand"), "{name}: `{message}`"),
+                }
+            }
         }
     }
 

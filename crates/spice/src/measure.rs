@@ -121,35 +121,49 @@ impl Trace {
     /// First time after `after` at which `node` crosses `level` with the
     /// requested [`Edge`], linearly interpolated. `None` if it never does.
     pub fn crossing(&self, node: NodeId, level: Voltage, edge: Edge, after: Time) -> Option<Time> {
+        (0..self.times.len().saturating_sub(1))
+            .find_map(|k| self.segment_crossing(node, k, level, edge, after))
+    }
+
+    /// The crossing on the segment from sample `k` to sample `k + 1`, if
+    /// that segment holds one that qualifies: `level` passed with `edge`,
+    /// interpolated between the segment's two samples, at or after `after`.
+    /// This is the one definition of a crossing: [`Trace::crossing`] applies
+    /// it to every segment in time order, and [`Circuit::transient_crossing`]
+    /// to the newest segment after each step.
+    pub(crate) fn segment_crossing(
+        &self,
+        node: NodeId,
+        k: usize,
+        level: Voltage,
+        edge: Edge,
+        after: Time,
+    ) -> Option<Time> {
         let lvl = level.as_volts();
         let start = after.as_seconds();
-        let v = &self.volts[node.0];
-        for k in 0..self.times.len().saturating_sub(1) {
-            let (t0, t1) = (self.times[k], self.times[k + 1]);
-            if t1 < start {
-                continue;
-            }
-            let (v0, v1) = (v[k], v[k + 1]);
-            let rising = v0 < lvl && v1 >= lvl;
-            let falling = v0 > lvl && v1 <= lvl;
-            let hit = match edge {
-                Edge::Rising => rising,
-                Edge::Falling => falling,
-                Edge::Either => rising || falling,
-            };
-            if hit {
-                let frac = if (v1 - v0).abs() > 0.0 {
-                    (lvl - v0) / (v1 - v0)
-                } else {
-                    0.0
-                };
-                let t_cross = t0 + (t1 - t0) * frac;
-                if t_cross >= start {
-                    return Some(Time::from_seconds(t_cross));
-                }
-            }
+        let (t0, t1) = (self.times[k], self.times[k + 1]);
+        if t1 < start {
+            return None;
         }
-        None
+        let v = &self.volts[node.0];
+        let (v0, v1) = (v[k], v[k + 1]);
+        let rising = v0 < lvl && v1 >= lvl;
+        let falling = v0 > lvl && v1 <= lvl;
+        let hit = match edge {
+            Edge::Rising => rising,
+            Edge::Falling => falling,
+            Edge::Either => rising || falling,
+        };
+        if !hit {
+            return None;
+        }
+        let frac = if (v1 - v0).abs() > 0.0 {
+            (lvl - v0) / (v1 - v0)
+        } else {
+            0.0
+        };
+        let t_cross = t0 + (t1 - t0) * frac;
+        (t_cross >= start).then_some(Time::from_seconds(t_cross))
     }
 
     /// Delay from `from` crossing `from_level` to the *next* `to` crossing

@@ -3,7 +3,7 @@
 use crate::budget::SolverBudget;
 use crate::circuit::{Circuit, Element};
 use crate::error::SpiceError;
-use crate::measure::Trace;
+use crate::measure::{Edge, Trace};
 use ppatc_units::{Time, Voltage};
 
 /// Time-integration scheme for capacitor companion models.
@@ -17,7 +17,8 @@ pub enum Integration {
     Trapezoidal,
 }
 
-/// Configuration for [`Circuit::transient`].
+/// Configuration for [`Circuit::transient`] and
+/// [`Circuit::transient_crossing`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct TransientConfig {
     /// Total simulated time.
@@ -92,6 +93,59 @@ impl Circuit {
     /// trips between time steps, otherwise any solver error from the
     /// per-step Newton iterations.
     pub fn transient(&self, cfg: &TransientConfig) -> Result<Trace, SpiceError> {
+        self.step_until(cfg, |_| false)
+    }
+
+    /// Runs the transient of [`Circuit::transient`] only as far as the step
+    /// that completes the first crossing [`Trace::crossing`] would find,
+    /// and returns that crossing. The answer is bit-identical to
+    /// `self.transient(cfg)?.crossing(node, level, edge, after)`: stepping
+    /// is causal, so the samples up to that step are the same, and the
+    /// crossing is interpolated from that step's segment alone. A circuit
+    /// that never crosses runs the whole window and yields `None`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Circuit::transient`], for the steps actually taken.
+    pub fn transient_crossing(
+        &self,
+        cfg: &TransientConfig,
+        node: crate::NodeId,
+        level: Voltage,
+        edge: Edge,
+        after: Time,
+    ) -> Result<Option<Time>, SpiceError> {
+        self.transient_to_crossing(cfg, node, level, edge, after)
+            .map(|(_, crossing)| crossing)
+    }
+
+    /// [`Circuit::transient_crossing`] together with the trace it stopped
+    /// on.
+    fn transient_to_crossing(
+        &self,
+        cfg: &TransientConfig,
+        node: crate::NodeId,
+        level: Voltage,
+        edge: Edge,
+        after: Time,
+    ) -> Result<(Trace, Option<Time>), SpiceError> {
+        let mut found = None;
+        let trace = self.step_until(cfg, |trace| {
+            // The newest segment ends on the sample just recorded.
+            found = trace.segment_crossing(node, trace.len() - 2, level, edge, after);
+            found.is_some()
+        })?;
+        Ok((trace, found))
+    }
+
+    /// The fixed-step loop behind both analyses. After recording each
+    /// step's sample (so `done` sees at least two samples) it asks `done`
+    /// whether to stop; the full window runs when `done` never says so.
+    fn step_until(
+        &self,
+        cfg: &TransientConfig,
+        mut done: impl FnMut(&Trace) -> bool,
+    ) -> Result<Trace, SpiceError> {
         let h = cfg.step.as_seconds();
         let stop = cfg.stop.as_seconds();
         if !h.is_finite() || h <= 0.0 || !stop.is_finite() || stop <= 0.0 {
@@ -178,6 +232,9 @@ impl Circuit {
                 v_prev[ci] = v_now;
             }
             trace.record(self, t, &x);
+            if done(&trace) {
+                break;
+            }
         }
         Ok(trace)
     }
@@ -327,6 +384,128 @@ mod tests {
             1502,
             "stop/h = 1500.000001 must run 1501 steps, not snap to 1500"
         );
+    }
+
+    /// An RC (tau = 100 ps) driven by a 1 V pulse train of period 1 ns: its
+    /// output rises through 0.5 V near 70 ps, falls through it near 480 ps
+    /// and rises through it again near 1.07 ns.
+    fn pulsed_rc() -> (Circuit, crate::NodeId) {
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let vout = c.node("out");
+        let ps = Time::from_picoseconds;
+        c.voltage_source(
+            "V1",
+            vin,
+            Circuit::GROUND,
+            Waveform::pulse(
+                Voltage::zero(),
+                Voltage::from_volts(1.0),
+                Time::zero(),
+                ps(10.0),
+                ps(10.0),
+                ps(400.0),
+                ps(1000.0),
+            ),
+        );
+        c.resistor("R1", vin, vout, Resistance::from_kilo_ohms(1.0));
+        c.capacitor(
+            "C1",
+            vout,
+            Circuit::GROUND,
+            Capacitance::from_femtofarads(100.0),
+        );
+        (c, vout)
+    }
+
+    #[test]
+    fn transient_crossing_equals_the_full_window_crossing_bit_for_bit() {
+        let (c, out) = pulsed_rc();
+        let cfg = TransientConfig::new(Time::from_nanoseconds(2.0), Time::from_picoseconds(2.0));
+        let full = c.transient(&cfg).expect("full window runs");
+        let half = Voltage::from_volts(0.5);
+        // Sample 30 (60 ps) lies on the first rise: a level equal to it is
+        // reached exactly on that sample.
+        let on_sample = Voltage::from_volts(full.samples(out)[30]);
+        let after_first_rise = Time::from_picoseconds(200.0);
+        let cases = [
+            ("rising", half, Edge::Rising, Time::zero()),
+            ("falling", half, Edge::Falling, Time::zero()),
+            (
+                "after skips the first rise",
+                half,
+                Edge::Rising,
+                after_first_rise,
+            ),
+            (
+                "either edge after the first rise",
+                half,
+                Edge::Either,
+                after_first_rise,
+            ),
+            ("level on a sample", on_sample, Edge::Rising, Time::zero()),
+            (
+                "never crosses",
+                Voltage::from_volts(1.5),
+                Edge::Rising,
+                Time::zero(),
+            ),
+        ];
+        for (name, level, edge, after) in cases {
+            let want = full.crossing(out, level, edge, after);
+            let got = c
+                .transient_crossing(&cfg, out, level, edge, after)
+                .expect("cut transient runs");
+            let bits = |t: Option<Time>| t.map(|t| t.as_seconds().to_bits());
+            assert_eq!(bits(got), bits(want), "{name}");
+
+            // The cut run stops on the step that completes the crossing's
+            // segment, and its samples are the full run's, bit for bit.
+            let (cut, _) = c
+                .transient_to_crossing(&cfg, out, level, edge, after)
+                .expect("cut transient runs");
+            let steps = match want {
+                Some(t) => {
+                    let k = full
+                        .times()
+                        .iter()
+                        .position(|&s| s >= t.as_seconds())
+                        .expect("the crossing lies inside the window");
+                    assert!(k >= 1, "{name}: no crossing at t = 0");
+                    k
+                }
+                None => full.len() - 1,
+            };
+            assert_eq!(cut.len(), steps + 1, "{name}: steps taken");
+            let prefix = |xs: &[f64]| {
+                xs[..cut.len()]
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(prefix(cut.times()), prefix(full.times()), "{name}");
+            assert_eq!(
+                prefix(cut.samples(out)),
+                prefix(full.samples(out)),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn transient_crossing_stops_on_the_completing_step() {
+        // tau = 1 ns from a 1 V step: 50% at tau·ln 2 = 693.1 ps lies between
+        // the 2 ps samples at 692 and 694 ps, so the run takes 347 of its
+        // 1,500 steps.
+        let (c, out) = rc_circuit();
+        let cfg = TransientConfig::new(Time::from_nanoseconds(3.0), Time::from_picoseconds(2.0));
+        let half = Voltage::from_volts(0.5);
+        let (cut, t) = c
+            .transient_to_crossing(&cfg, out, half, Edge::Rising, Time::zero())
+            .expect("cut transient runs");
+        let t = t.expect("crosses 50%");
+        assert!(approx_eq(t.as_picoseconds(), 693.15, 1e-3), "t50 {t:?}");
+        assert_eq!(cut.len(), 348, "347 steps plus the t = 0 sample");
     }
 
     #[test]

@@ -73,9 +73,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for tech in Technology::ALL {
         let flow = ProcessFlow::for_technology(tech);
         println!(
-            "{tech:<18} UPW {:>6.2} m³/wafer, raw {:>6.2} m³/wafer",
-            water.upw_per_wafer(&flow) / 1000.0,
-            water.raw_water_per_wafer(&flow) / 1000.0
+            "{tech:<18} UPW {:.2}/wafer, raw {:.2}/wafer",
+            water.upw_per_wafer(&flow),
+            water.raw_water_per_wafer(&flow)
         );
     }
 
