@@ -40,9 +40,10 @@ pub struct ResponseSlot {
     ready: Condvar,
 }
 
-/// Recovers a possibly poisoned guard (slot and queue state are updated
-/// by single statements; a panicking peer cannot leave them incoherent).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Recovers a possibly poisoned guard (slot and queue state, and the
+/// server's live-connection count, are updated by single statements; a
+/// panicking peer cannot leave them incoherent).
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),

@@ -11,9 +11,11 @@
 //!    *immediately* with `err overloaded queue_depth=… retry_after_ms=…`.
 //!    No queue growth, no latency collapse.
 //! 3. **drain** — a SIGTERM/ctrl-c (or `drain` query) cancels the drain
-//!    token: the accept loop stops, open connections are told
-//!    `err draining`, admitted jobs finish or deadline out, workers exit,
-//!    and the final health report is flushed. Exit code 0.
+//!    token: the supervisor wakes the accept loop, which closes the
+//!    connection that woke it unanswered and stops accepting; open
+//!    connections are told `err draining`, admitted jobs finish or
+//!    deadline out, workers exit, and the final health report is flushed.
+//!    Exit code 0.
 //!
 //! # Isolation boundaries
 //!
@@ -35,8 +37,17 @@
 //! epoch (odd while mid-job, even while idle) so the supervisor can
 //! count — without killing — workers wedged inside one evaluation for
 //! longer than the deadline plus slot grace (`worker_stalls`).
+//!
+//! The supervisor also owns the accept thread and is the one watcher of
+//! the drain token, whatever cancelled it. The accept thread blocks in
+//! `accept`; after a cancel the supervisor connects to the listener (on
+//! loopback when it is bound to every interface) on each poll until that
+//! thread has exited, so a lost wake delays the drain by a poll instead
+//! of hanging it.
 
-use crate::admission::{retry_after_ms, AdmissionQueue, AdmitError, Job, ResponseSlot};
+use crate::admission::{
+    lock_unpoisoned, retry_after_ms, AdmissionQueue, AdmitError, Job, ResponseSlot,
+};
 use crate::cache::{try_recover_cache, ResponseCache};
 use crate::health::{HealthSnapshot, ServerHealth};
 use crate::protocol::{
@@ -47,16 +58,17 @@ use crate::query::{canonical_key, try_evaluate, try_parse_request, Query, QueryE
 use ppatc::eval::CancelToken;
 use ppatc::{InterruptReason, PpatcError, RunBudget};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop polls the drain token between accepts.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the accept loop pauses after an accept *error* (such as
+/// `EMFILE`), so a persistent one cannot spin the blocking loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 /// Socket read timeout: the granularity at which connection threads
 /// notice drains and frame deadlines.
 const READ_POLL: Duration = Duration::from_millis(50);
@@ -67,7 +79,8 @@ const SLOT_GRACE: Duration = Duration::from_secs(5);
 /// gone before giving up on them (they hold no queue slots and die with
 /// the process).
 const CONNECTION_LINGER: Duration = Duration::from_secs(10);
-/// How often the supervisor polls worker liveness and heartbeats.
+/// How often the supervisor polls worker liveness, heartbeats and the
+/// drain token, and, once draining, re-sends the accept wake.
 const SUPERVISOR_POLL: Duration = Duration::from_millis(50);
 
 /// Server tuning knobs. `Default` suits tests and the smoke harness; the
@@ -122,13 +135,22 @@ impl Default for ServerConfig {
     }
 }
 
-/// Decrements the live-connection gauge on drop, so even a panicking
-/// connection handler releases its slot.
+/// Counts one live connection. Dropping it — even from a panicking
+/// handler, or with the closure of a thread that never spawned — releases
+/// the count and wakes a `join` waiting for stragglers.
 struct ConnectionGuard(Arc<Shared>);
+
+impl ConnectionGuard {
+    fn new(shared: &Arc<Shared>) -> Self {
+        *lock_unpoisoned(&shared.live_connections) += 1;
+        Self(Arc::clone(shared))
+    }
+}
 
 impl Drop for ConnectionGuard {
     fn drop(&mut self) {
-        self.0.active_connections.fetch_sub(1, Ordering::SeqCst);
+        *lock_unpoisoned(&self.0.live_connections) -= 1;
+        self.0.connection_closed.notify_all();
     }
 }
 
@@ -139,7 +161,10 @@ struct Shared {
     health: ServerHealth,
     queue: AdmissionQueue,
     cache: ResponseCache,
-    active_connections: AtomicUsize,
+    /// Connection threads still running; `connection_closed` is notified
+    /// each time one ends.
+    live_connections: Mutex<usize>,
+    connection_closed: Condvar,
     /// Per-seat worker heartbeat epochs: odd while a worker is mid-job,
     /// even while it waits for the next one.
     heartbeats: Vec<AtomicU64>,
@@ -150,8 +175,8 @@ struct Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
+    /// Owns the accept thread and the workers; joining it joins them.
+    supervisor: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -174,35 +199,24 @@ impl ServerHandle {
     /// Starts (or joins an already-started) drain and blocks until the
     /// accept loop, workers, and connections are done. Returns the final
     /// health report.
-    pub fn drain(mut self) -> HealthSnapshot {
+    pub fn drain(self) -> HealthSnapshot {
         self.shared.cancel.cancel();
-        self.join_threads();
-        self.shared.health.snapshot()
+        self.join()
     }
 
     /// Blocks until the server stops on its own (token cancelled
     /// externally, e.g. by a signal or a `drain` query). Returns the
     /// final health report.
-    pub fn join(mut self) -> HealthSnapshot {
-        self.join_threads();
-        self.shared.health.snapshot()
-    }
-
-    fn join_threads(&mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        // The supervisor owns the worker handles; joining it joins them.
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
+    pub fn join(self) -> HealthSnapshot {
+        let _ = self.supervisor.join();
         // Connections hold no queue slots; give stragglers a bounded
         // window to flush their `draining` responses and close.
-        let patience = Instant::now() + CONNECTION_LINGER;
-        while self.shared.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < patience
-        {
-            std::thread::sleep(ACCEPT_POLL);
-        }
+        let live = lock_unpoisoned(&self.shared.live_connections);
+        let _ = self
+            .shared
+            .connection_closed
+            .wait_timeout_while(live, CONNECTION_LINGER, |live| *live > 0);
+        self.shared.health.snapshot()
     }
 }
 
@@ -218,8 +232,14 @@ impl ServerHandle {
 /// cache geometry, or plain I/O) wrapped as `std::io::Error`.
 pub fn try_spawn(config: ServerConfig) -> Result<ServerHandle, std::io::Error> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    // The supervisor wakes the blocked accept by connecting to the
+    // listener, on loopback when it is bound to every interface.
+    let wake = match addr {
+        SocketAddr::V4(a) if a.ip().is_unspecified() => (Ipv4Addr::LOCALHOST, a.port()).into(),
+        SocketAddr::V6(a) if a.ip().is_unspecified() => (Ipv6Addr::LOCALHOST, a.port()).into(),
+        bound => bound,
+    };
     let health = ServerHealth::new();
     let cache = match &config.cache_journal {
         Some(path) => {
@@ -238,30 +258,30 @@ pub fn try_spawn(config: ServerConfig) -> Result<ServerHandle, std::io::Error> {
         health,
         queue: AdmissionQueue::new(config.queue_capacity),
         cache,
-        active_connections: AtomicUsize::new(0),
+        live_connections: Mutex::new(0),
+        connection_closed: Condvar::new(),
         heartbeats: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
         config,
     });
     let seats = (0..worker_count)
         .map(|slot| spawn_worker(&shared, slot, 0).map(WorkerSeat::new))
         .collect::<Result<Vec<_>, _>>()?;
-    let supervisor = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("ppatc-serve-supervisor".to_string())
-            .spawn(move || supervisor_loop(&shared, seats))?
-    };
     let accept = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("ppatc-serve-accept".to_string())
             .spawn(move || accept_loop(&listener, &shared))?
     };
+    let supervisor = {
+        let shared = Arc::clone(&shared);
+        std::thread::Builder::new()
+            .name("ppatc-serve-supervisor".to_string())
+            .spawn(move || supervisor_loop(&shared, seats, accept, wake))?
+    };
     Ok(ServerHandle {
         addr,
         shared,
-        accept: Some(accept),
-        supervisor: Some(supervisor),
+        supervisor,
     })
 }
 
@@ -310,9 +330,15 @@ impl WorkerSeat {
 
 /// The supervisor: polls every worker seat, counts heartbeat stalls, and
 /// respawns dead workers until the restart budget runs out. On drain it
-/// stops respawning and joins the survivors (they exit once the queue
-/// runs dry).
-fn supervisor_loop(shared: &Arc<Shared>, mut seats: Vec<WorkerSeat>) {
+/// stops respawning, wakes the accept thread by connecting to `wake` on
+/// each poll until that thread has exited, and joins it and the
+/// surviving workers (they exit once the queue runs dry).
+fn supervisor_loop(
+    shared: &Arc<Shared>,
+    mut seats: Vec<WorkerSeat>,
+    accept: JoinHandle<()>,
+    wake: SocketAddr,
+) {
     // A worker legitimately holds a job for up to the request deadline;
     // past deadline + grace the connection thread has already answered
     // for it, so from there on the worker counts as wedged.
@@ -377,6 +403,13 @@ fn supervisor_loop(shared: &Arc<Shared>, mut seats: Vec<WorkerSeat>) {
         }
         std::thread::sleep(SUPERVISOR_POLL);
     }
+    // A wake can be lost (a refused or timed-out connect), so it is
+    // repeated each poll rather than trusted once.
+    while !accept.is_finished() {
+        let _ = TcpStream::connect_timeout(&wake, SUPERVISOR_POLL);
+        std::thread::sleep(SUPERVISOR_POLL);
+    }
+    let _ = accept.join();
     for seat in &mut seats {
         if let Some(handle) = seat.handle.take() {
             let _ = handle.join();
@@ -384,40 +417,42 @@ fn supervisor_loop(shared: &Arc<Shared>, mut seats: Vec<WorkerSeat>) {
     }
 }
 
-/// Accepts connections until the drain token cancels, then flips the
-/// queue into drain mode (workers exit once it runs dry).
+/// Accepts connections, blocking in `accept`, until `accept` returns after
+/// the drain token cancels (with the supervisor's wake, a client that lost
+/// the race with the drain, or an error). A connection accepted then is
+/// closed unanswered and uncounted, and the queue flips into drain mode
+/// (workers exit once it runs dry).
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.cancel.is_cancelled() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.cancel.is_cancelled() {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 shared
                     .health
                     .connections_opened
                     .fetch_add(1, Ordering::Relaxed);
-                shared.active_connections.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
+                // On thread exhaustion the closure, guard included, is
+                // dropped: the count is released and the client sees a
+                // closed connection and retries.
+                let guard = ConnectionGuard::new(shared);
+                let _ = std::thread::Builder::new()
                     .name("ppatc-serve-conn".to_string())
                     .spawn(move || {
-                        let _guard = ConnectionGuard(Arc::clone(&conn_shared));
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            handle_connection(stream, &conn_shared)
-                        }));
+                        let shared = &guard.0;
+                        let outcome =
+                            catch_unwind(AssertUnwindSafe(|| handle_connection(stream, shared)));
                         if outcome.is_err() {
-                            conn_shared
+                            shared
                                 .health
                                 .connections_panicked
                                 .fetch_add(1, Ordering::Relaxed);
                         }
                     });
-                if spawned.is_err() {
-                    // Thread exhaustion: release the slot; the client sees
-                    // a closed connection and retries.
-                    shared.active_connections.fetch_sub(1, Ordering::SeqCst);
-                }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
     shared.health.draining.store(1, Ordering::Relaxed);

@@ -3,9 +3,10 @@
 //! The only unsafe code in the workspace: a minimal FFI declaration of
 //! POSIX `signal(2)`. The handler does exactly one async-signal-safe
 //! thing — a relaxed atomic store through a process-global
-//! [`CancelToken`] clone — and the server's accept loop polls that token,
-//! turning the signal into the ordinary drain path (stop accepting,
-//! finish in-flight work, flush the final health report, exit 0).
+//! [`CancelToken`] clone — and the server's supervisor polls that token
+//! and wakes the blocked accept loop, turning the signal into the
+//! ordinary drain path (stop accepting, finish in-flight work, flush the
+//! final health report, exit 0).
 
 use ppatc::eval::CancelToken;
 use std::sync::atomic::{AtomicBool, Ordering};

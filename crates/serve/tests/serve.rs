@@ -318,6 +318,40 @@ fn drain_query_stops_the_server_gracefully() {
     assert_eq!(report.connections_panicked, 0);
 }
 
+/// The in-process stand-in for SIGTERM: a server bound to `addr` that
+/// never got a connection has a clone of its drain token cancelled from
+/// another thread. `join`, which cancels nothing itself, must return with
+/// the drain done and the wake connection uncounted.
+fn token_clone_cancel_drains_an_idle_server(addr: &str) {
+    let handle = spawn(ServerConfig {
+        addr: addr.to_string(),
+        ..ServerConfig::default()
+    });
+    let token = handle.cancel_token();
+    std::thread::spawn(move || token.cancel())
+        .join()
+        .expect("the cancelling thread runs");
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(handle.join());
+    });
+    let report = joined
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returns after a token clone is cancelled");
+    assert!(report.draining, "{report:?}");
+    assert_eq!(report.connections_opened, 0, "{report:?}");
+}
+
+#[test]
+fn a_cancelled_token_clone_drains_an_idle_server() {
+    token_clone_cancel_drains_an_idle_server("127.0.0.1:0");
+}
+
+#[test]
+fn a_cancelled_token_clone_drains_a_server_bound_to_every_interface() {
+    token_clone_cancel_drains_an_idle_server("0.0.0.0:0");
+}
+
 #[test]
 fn drain_refuses_new_connections_and_requests() {
     let handle = spawn(ServerConfig::default());
