@@ -13,19 +13,19 @@
 //! byte-identical recovered responses.
 //!
 //! ```text
-//! cargo run --release -p ppatc-bench --bin serve_bench            # full load
-//! cargo run --release -p ppatc-bench --bin serve_bench -- --smoke # CI-sized
+//! cargo run --release -p ppatc-bench --bin serve_bench
 //! ```
 //!
-//! Flags: `--smoke`, `--requests N` (total), `--clients N`,
-//! `--workers N`/`--jobs N`, `--queue N`, `--deadline SECS`.
+//! It takes no arguments: every phase runs one fixed shape (the constants
+//! below), so `BENCH_serve.json` compares the same server on every host.
+//! It is a chaos gate first; its latencies are a side output, and the
+//! pipeline's timings of record come from perfbench (`BENCH_pipeline.json`).
 //!
 //! Exit codes: 0 on a clean run, 1 if any panic escaped a request
 //! boundary, a repeated query was not byte-identical, the drain phase
 //! failed to shut down gracefully, or the resilience phase left a
 //! request unanswered / failed to recover the cache byte-identically.
 
-use ppatc_serve::cli;
 use ppatc_serve::client::ServeClient;
 use ppatc_serve::fault::{FaultPlan, FaultSpec};
 use ppatc_serve::protocol::MAGIC;
@@ -37,6 +37,21 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+// The fixed shape of every run. The load phase runs `LOAD_CLIENTS`
+// clients of `LOAD_REQUESTS_PER_CLIENT` requests each, and the drain phase
+// as many clients; both servers have `WORKERS` workers and a queue of
+// `QUEUE_CAPACITY`, and the load server a `REQUEST_DEADLINE`. The overload
+// burst and the resilience phase have clients and requests of their own.
+const LOAD_CLIENTS: usize = 4;
+const LOAD_REQUESTS_PER_CLIENT: usize = 750;
+const WORKERS: usize = 2;
+const QUEUE_CAPACITY: usize = 64;
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+const BURST_CLIENTS: usize = 16;
+const BURST_REQUESTS_PER_CLIENT: usize = 8;
+const RESILIENCE_CLIENTS: usize = 3;
+const RESILIENCE_REQUESTS_PER_CLIENT: usize = 30;
 
 /// Connect/read/write timeout for harness clients. Generous: the harness
 /// must never wedge even when the server sheds or drains under it.
@@ -156,7 +171,6 @@ fn reconnect(addr: std::net::SocketAddr) -> Option<ServeClient> {
 #[allow(clippy::too_many_lines)]
 fn client_loop(
     id: usize,
-    requests: usize,
     addr: std::net::SocketAddr,
     reference: &Mutex<HashMap<String, String>>,
 ) -> Tally {
@@ -167,8 +181,8 @@ fn client_loop(
         None => return tally,
     };
     // Loris events spread across the run at fixed indices.
-    let loris_stride = (requests / (LORIS_PER_CLIENT + 1)).max(1);
-    for i in 0..requests {
+    let loris_stride = (LOAD_REQUESTS_PER_CLIENT / (LORIS_PER_CLIENT + 1)).max(1);
+    for i in 0..LOAD_REQUESTS_PER_CLIENT {
         // -- chaos: slow-loris partial write, then stall past the window.
         if LORIS_PER_CLIENT > 0
             && i > 0
@@ -277,10 +291,12 @@ fn client_loop(
 /// queue) hit by many concurrent clients with cold Monte-Carlo points.
 /// Admission control must shed with `overloaded` + a retry hint instead
 /// of queueing without bound; nothing may crash or hang.
-fn burst_phase(clients: usize, per_client: usize) -> (u64, u64, u64, bool) {
-    let mut config = ServerConfig::default();
-    config.workers = 1;
-    config.queue_capacity = 2;
+fn burst_phase() -> (u64, u64, u64, bool) {
+    let config = ServerConfig {
+        workers: 1,
+        queue_capacity: 2,
+        ..ServerConfig::default()
+    };
     let handle = match try_spawn(config) {
         Ok(h) => h,
         Err(e) => {
@@ -294,7 +310,7 @@ fn burst_phase(clients: usize, per_client: usize) -> (u64, u64, u64, bool) {
     let mut hinted = 0u64;
     std::thread::scope(|scope| {
         let mut joins = Vec::new();
-        for id in 0..clients {
+        for id in 0..BURST_CLIENTS {
             joins.push(scope.spawn(move || {
                 let mut answered = 0u64;
                 let mut shed = 0u64;
@@ -302,10 +318,11 @@ fn burst_phase(clients: usize, per_client: usize) -> (u64, u64, u64, bool) {
                 let Some(mut client) = reconnect(addr) else {
                     return (answered, shed, hinted);
                 };
-                for i in 0..per_client {
+                for i in 0..BURST_REQUESTS_PER_CLIENT {
                     // Unique cold point per (client, i): always a cache
                     // miss, so the single worker is the bottleneck.
-                    let q = format!("mc samples=8192 seed={}", id * per_client + i + 1_000);
+                    let seed = id * BURST_REQUESTS_PER_CLIENT + i + 1_000;
+                    let q = format!("mc samples=8192 seed={seed}");
                     match client.try_request(&q) {
                         Ok(resp) => {
                             answered += 1;
@@ -345,16 +362,14 @@ fn burst_phase(clients: usize, per_client: usize) -> (u64, u64, u64, bool) {
 /// cancels the server (the in-process stand-in for SIGTERM) and every
 /// client must wind down with a typed `draining` response or a clean
 /// close — never a hang, never an escaped panic.
-fn drain_phase(
-    workers: usize,
-    queue: usize,
-    clients: usize,
-) -> (Tally, ppatc_serve::HealthSnapshot, bool) {
+fn drain_phase() -> (Tally, ppatc_serve::HealthSnapshot, bool) {
     /// Safety cap so a drain that never lands cannot spin forever.
     const MAX_REQUESTS_PER_CLIENT: usize = 1_000_000;
-    let mut config = ServerConfig::default();
-    config.workers = workers;
-    config.queue_capacity = queue;
+    let config = ServerConfig {
+        workers: WORKERS,
+        queue_capacity: QUEUE_CAPACITY,
+        ..ServerConfig::default()
+    };
     let handle = match try_spawn(config) {
         Ok(h) => h,
         Err(e) => {
@@ -372,7 +387,7 @@ fn drain_phase(
     let mut merged = Tally::default();
     std::thread::scope(|scope| {
         let mut joins = Vec::new();
-        for id in 0..clients {
+        for id in 0..LOAD_CLIENTS {
             let drained = &drained;
             joins.push(scope.spawn(move || {
                 let mut tally = Tally::default();
@@ -495,16 +510,18 @@ impl ResilienceTally {
 /// fresh server recovers the cache and must answer the warmed pool
 /// byte-identically. Returns the phase's JSON object and its clean flag.
 #[allow(clippy::too_many_lines)]
-fn resilience_phase(smoke: bool) -> (String, bool) {
+fn resilience_phase() -> (String, bool) {
     let journal = std::env::temp_dir().join(format!(
         "ppatc-serve-bench-journal-{}.txt",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&journal);
-    let mut config = ServerConfig::default();
-    config.workers = 2;
-    config.enable_poison = true;
-    config.cache_journal = Some(journal.clone());
+    let config = ServerConfig {
+        workers: 2,
+        enable_poison: true,
+        cache_journal: Some(journal.clone()),
+        ..ServerConfig::default()
+    };
     let handle = match try_spawn(config) {
         Ok(h) => h,
         Err(e) => {
@@ -532,12 +549,10 @@ fn resilience_phase(smoke: bool) -> (String, bool) {
         return ("null".to_string(), false);
     }
 
-    let clients = 3usize;
-    let per_client = if smoke { 30 } else { 90 };
     let mut tally = ResilienceTally::default();
     std::thread::scope(|scope| {
         let mut joins = Vec::new();
-        for id in 0..clients {
+        for id in 0..RESILIENCE_CLIENTS {
             joins.push(scope.spawn(move || {
                 let mut part = ResilienceTally::default();
                 let spec = FaultSpec {
@@ -561,7 +576,7 @@ fn resilience_phase(smoke: bool) -> (String, bool) {
                 };
                 let mut client = ResilientClient::new(addr.to_string(), policy)
                     .with_fault_plan(FaultPlan::new(spec));
-                for i in 0..per_client {
+                for i in 0..RESILIENCE_REQUESTS_PER_CLIENT {
                     let line = if KILL_POINTS.contains(&(id, i)) {
                         part.kills_sent += 1;
                         "kill_worker"
@@ -622,8 +637,10 @@ fn resilience_phase(smoke: bool) -> (String, bool) {
 
     // Restart on the same journal (same default cache geometry) and
     // require byte-identical answers for the warmed pool.
-    let mut restart_config = ServerConfig::default();
-    restart_config.cache_journal = Some(journal.clone());
+    let restart_config = ServerConfig {
+        cache_journal: Some(journal.clone()),
+        ..ServerConfig::default()
+    };
     let (recovered, recovery_mismatches, restart_hits, restarted) = match try_spawn(restart_config)
     {
         Ok(handle) => {
@@ -662,8 +679,8 @@ fn resilience_phase(smoke: bool) -> (String, bool) {
         && restart_hits >= pool_len;
     let json = format!(
         r#"{{
-    "clients": {clients},
-    "requests_per_client": {per_client},
+    "clients": {RESILIENCE_CLIENTS},
+    "requests_per_client": {RESILIENCE_REQUESTS_PER_CLIENT},
     "fault_seed": {RESILIENCE_SEED},
     "fault_per_mille": {{ "disconnect": {RESILIENCE_FAULT_PER_MILLE}, "corrupt_magic": {RESILIENCE_FAULT_PER_MILLE}, "truncate": {RESILIENCE_FAULT_PER_MILLE}, "delay": {} }},
     "requests": {},
@@ -713,59 +730,23 @@ fn resilience_phase(smoke: bool) -> (String, bool) {
 
 #[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
-    let mut requests: usize = 200_000;
-    let mut clients: usize = 8;
-    let mut workers: usize = std::thread::available_parallelism().map_or(2, |n| n.get().min(4));
-    let mut queue: usize = 64;
-    let mut deadline = Duration::from_secs(10);
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let parsed = match arg.as_str() {
-            "--smoke" => {
-                smoke = true;
-                Ok(())
-            }
-            "--requests" => {
-                cli::try_parse_count("requests", args.next().as_deref()).map(|n| requests = n)
-            }
-            "--clients" => {
-                cli::try_parse_count("clients", args.next().as_deref()).map(|n| clients = n)
-            }
-            "--workers" | "--jobs" | "-j" => {
-                cli::try_parse_jobs(args.next().as_deref()).map(|n| workers = n)
-            }
-            "--queue" => cli::try_parse_count("queue", args.next().as_deref()).map(|n| queue = n),
-            "--deadline" => cli::try_parse_deadline(args.next().as_deref()).map(|d| deadline = d),
-            other => {
-                eprintln!("serve_bench: unknown argument `{other}`");
-                eprintln!(
-                    "usage: serve_bench [--smoke] [--requests N] [--clients N] \
-                     [--workers N] [--queue N] [--deadline SECS]"
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = parsed {
-            eprintln!("serve_bench: {arg}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if smoke {
-        requests = requests.min(3_000);
-        clients = clients.min(4);
+    if std::env::args().len() > 1 {
+        eprintln!("usage: serve_bench (it takes no arguments)");
+        return ExitCode::FAILURE;
     }
 
     // Poison queries panic by design; keep stderr readable. Escaped
     // panics are still caught by the health counters and the exit code.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let mut config = ServerConfig::default();
-    config.workers = workers;
-    config.queue_capacity = queue;
-    config.request_deadline = deadline;
-    config.frame_timeout = FRAME_TIMEOUT;
-    config.enable_poison = true;
+    let config = ServerConfig {
+        workers: WORKERS,
+        queue_capacity: QUEUE_CAPACITY,
+        request_deadline: REQUEST_DEADLINE,
+        frame_timeout: FRAME_TIMEOUT,
+        enable_poison: true,
+        ..ServerConfig::default()
+    };
     let handle = match try_spawn(config) {
         Ok(h) => h,
         Err(e) => {
@@ -774,10 +755,9 @@ fn main() -> ExitCode {
         }
     };
     let addr = handle.addr();
-    let per_client = requests.div_ceil(clients.max(1));
     eprintln!(
-        "serve_bench: load phase — {clients} clients x {per_client} requests, \
-         {workers} workers, queue {queue}, on {addr}"
+        "serve_bench: load phase — {LOAD_CLIENTS} clients x {LOAD_REQUESTS_PER_CLIENT} \
+         requests, {WORKERS} workers, queue {QUEUE_CAPACITY}, on {addr}"
     );
 
     let reference = Mutex::new(HashMap::new());
@@ -785,9 +765,9 @@ fn main() -> ExitCode {
     let mut tally = Tally::default();
     std::thread::scope(|scope| {
         let mut joins = Vec::new();
-        for id in 0..clients {
+        for id in 0..LOAD_CLIENTS {
             let reference = &reference;
-            joins.push(scope.spawn(move || client_loop(id, per_client, addr, reference)));
+            joins.push(scope.spawn(move || client_loop(id, addr, reference)));
         }
         for join in joins {
             if let Ok(t) = join.join() {
@@ -803,11 +783,8 @@ fn main() -> ExitCode {
     let p99 = percentile(&tally.latencies_micros, 0.99);
     let max = tally.latencies_micros.last().copied().unwrap_or(0);
     let answered = tally.latencies_micros.len() as u64;
-    let shed_rate = if answered == 0 {
-        0.0
-    } else {
-        tally.shed as f64 / answered as f64
-    };
+    // A shed is an answered frame, so `shed` is 0 whenever `answered` is.
+    let shed_rate = tally.shed as f64 / answered.max(1) as f64;
     let throughput = if load_secs > 0.0 {
         answered as f64 / load_secs
     } else {
@@ -815,25 +792,17 @@ fn main() -> ExitCode {
     };
 
     eprintln!("serve_bench: burst phase — 1 worker, queue 2, expect load shedding");
-    let burst_clients = 16;
-    let burst_per_client = if smoke { 8 } else { 40 };
-    let (burst_answered, burst_shed, burst_hinted, burst_clean) =
-        burst_phase(burst_clients, burst_per_client);
-    let burst_shed_rate = if burst_answered == 0 {
-        0.0
-    } else {
-        burst_shed as f64 / burst_answered as f64
-    };
+    let (burst_answered, burst_shed, burst_hinted, burst_clean) = burst_phase();
+    let burst_shed_rate = burst_shed as f64 / burst_answered.max(1) as f64;
 
     eprintln!("serve_bench: drain phase — cancel mid-load, expect graceful wind-down");
-    let drain_clients = clients.min(4);
-    let (drain_tally, drain_report, graceful) = drain_phase(workers, queue, drain_clients);
+    let (drain_tally, drain_report, graceful) = drain_phase();
 
     eprintln!(
         "serve_bench: resilience phase — fault-injected transport, worker kills, \
          kill/restart cache recovery"
     );
-    let (resilience_json, resilience_clean) = resilience_phase(smoke);
+    let (resilience_json, resilience_clean) = resilience_phase();
 
     let escaped = report.connections_panicked + drain_report.connections_panicked;
     let clean = escaped == 0
@@ -845,13 +814,13 @@ fn main() -> ExitCode {
     let json = format!(
         r#"{{
   "benchmark": "ppatc-serve load + chaos harness",
-  "command": "cargo run --release -p ppatc-bench --bin serve_bench{}",
+  "command": "cargo run --release -p ppatc-bench --bin serve_bench",
   "methodology": "deterministic per-client LCG traffic mix against an in-process server; latencies cover every answered frame (ok or typed error); chaos events (malformed frames, slow-loris stalls, mid-request disconnects, poison panics) ride inline with the load",
   "config": {{
-    "clients": {clients},
-    "requests_per_client": {per_client},
-    "workers": {workers},
-    "queue_capacity": {queue},
+    "clients": {LOAD_CLIENTS},
+    "requests_per_client": {LOAD_REQUESTS_PER_CLIENT},
+    "workers": {WORKERS},
+    "queue_capacity": {QUEUE_CAPACITY},
     "request_deadline_secs": {:.3},
     "frame_timeout_ms": {}
   }},
@@ -893,8 +862,8 @@ fn main() -> ExitCode {
     "cache_hit_rate": {:.4}
   }},
   "burst_phase": {{
-    "clients": {burst_clients},
-    "requests_per_client": {burst_per_client},
+    "clients": {BURST_CLIENTS},
+    "requests_per_client": {BURST_REQUESTS_PER_CLIENT},
     "server": "1 worker, queue capacity 2",
     "answered": {burst_answered},
     "shed": {burst_shed},
@@ -903,7 +872,7 @@ fn main() -> ExitCode {
     "graceful": {burst_clean}
   }},
   "drain_phase": {{
-    "clients": {drain_clients},
+    "clients": {LOAD_CLIENTS},
     "served_before_drain": {},
     "draining_responses": {},
     "graceful": {graceful},
@@ -916,8 +885,7 @@ fn main() -> ExitCode {
   }},
   "clean": {clean}
 }}"#,
-        if smoke { " -- --smoke" } else { "" },
-        deadline.as_secs_f64(),
+        REQUEST_DEADLINE.as_secs_f64(),
         FRAME_TIMEOUT.as_millis(),
         tally.ok,
         tally.shed,

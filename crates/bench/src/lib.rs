@@ -14,8 +14,8 @@
 //! | [`fig6`] | Fig. 6a/b | tCDP-ratio map, isoline, and uncertainty variants |
 //!
 //! The `paper` binary prints any exhibit (`cargo run --release -p
-//! ppatc-bench --bin paper -- table2`); the Criterion benches measure the
-//! cost of regenerating each one.
+//! ppatc-bench --bin paper -- table2`); perfbench (`BENCHMARK.json`) times
+//! them, and the `serve_bench` binary is the query service's chaos gate.
 
 #![warn(missing_docs)]
 

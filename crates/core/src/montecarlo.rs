@@ -1220,7 +1220,7 @@ mod tests {
     impl RatioSource for FlakySource {
         fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
             let n = self.calls.fetch_add(1, Ordering::Relaxed);
-            if n % self.every == 0 {
+            if n.is_multiple_of(self.every) {
                 f64::NAN
             } else {
                 self.inner.ratio_sampled(sample)

@@ -342,7 +342,7 @@ mod tests {
     fn subword_access() {
         let mut m = MemorySystem::new(&[]);
         m.write_u8(DATA_BASE + 3, 0xAA, 0).expect("byte write");
-        m.write_u16(DATA_BASE + 0, 0x1122, 0).expect("half write");
+        m.write_u16(DATA_BASE, 0x1122, 0).expect("half write");
         assert_eq!(m.read_u8(DATA_BASE + 3, 1).expect("byte read"), 0xAA);
         assert_eq!(m.read_u16(DATA_BASE, 1).expect("half read"), 0x1122);
         assert_eq!(m.read_u32(DATA_BASE, 1).expect("word read"), 0xAA00_1122);

@@ -1,7 +1,6 @@
-//! Shared flag parsing for the front-end binaries (`ppatc-serve`, `paper`,
-//! `eval_bench`, `serve_bench`).
+//! Shared flag parsing for the front-end binaries (`ppatc-serve`, `paper`).
 //!
-//! All four binaries take the same supervision flags (`--jobs`/`--workers`,
+//! Both binaries take the same supervision flags (`--jobs`/`--workers`,
 //! `--deadline`); parsing them here keeps the front ends in agreement on
 //! validation — in particular, `--jobs 0` is a structured [`OperandError`],
 //! never a silent clamp to one worker, and operands are normalized the

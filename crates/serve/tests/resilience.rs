@@ -76,10 +76,11 @@ fn resilient_client_round_trips_against_a_live_server() {
 
 #[test]
 fn killed_workers_are_respawned_and_service_continues() {
-    let mut config = ServerConfig::default();
-    config.workers = 2;
-    config.enable_poison = true;
-    let handle = spawn(config);
+    let handle = spawn(ServerConfig {
+        workers: 2,
+        enable_poison: true,
+        ..ServerConfig::default()
+    });
     let mut client = ResilientClient::new(handle.addr().to_string(), policy(2));
 
     let killed = client
@@ -103,11 +104,12 @@ fn killed_workers_are_respawned_and_service_continues() {
 
 #[test]
 fn supervisor_gives_up_past_the_restart_budget() {
-    let mut config = ServerConfig::default();
-    config.workers = 2;
-    config.enable_poison = true;
-    config.worker_restart_budget = 1;
-    let handle = spawn(config);
+    let handle = spawn(ServerConfig {
+        workers: 2,
+        enable_poison: true,
+        worker_restart_budget: 1,
+        ..ServerConfig::default()
+    });
     let mut client = ResilientClient::new(handle.addr().to_string(), policy(3));
 
     // First kill: consumed by the budget, respawned.
@@ -135,9 +137,10 @@ fn supervisor_gives_up_past_the_restart_budget() {
 
 #[test]
 fn fault_injected_transport_still_gets_every_request_answered() {
-    let mut config = ServerConfig::default();
-    config.workers = 2;
-    let handle = spawn(config);
+    let handle = spawn(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
     let spec = FaultSpec {
         seed: 77,
         disconnect_per_mille: 100,
@@ -181,8 +184,10 @@ fn cache_journal_survives_kill_and_restart_byte_identically() {
         "mc samples=32 seed=9 capacity_kb=16",
     ];
 
-    let mut config = ServerConfig::default();
-    config.cache_journal = Some(path.clone());
+    let config = ServerConfig {
+        cache_journal: Some(path.clone()),
+        ..ServerConfig::default()
+    };
     let handle = spawn(config.clone());
     let mut client = ServeClient::try_connect(handle.addr(), CLIENT_TIMEOUT).expect("connects");
     let mut reference = Vec::new();
@@ -221,10 +226,11 @@ fn cache_journal_survives_kill_and_restart_byte_identically() {
 
 #[test]
 fn overload_sheds_are_retried_until_answered() {
-    let mut config = ServerConfig::default();
-    config.workers = 1;
-    config.queue_capacity = 1;
-    let handle = spawn(config);
+    let handle = spawn(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..ServerConfig::default()
+    });
     // A storm of distinct (uncached) mc queries through resilient
     // clients: every one must end answered, with the shed/retry loop
     // absorbing the contention.

@@ -861,8 +861,8 @@ mod tests {
             .expect_err("nothing converges");
 
         let (recovered_after, exhausted_after) = super::recovery_counters();
-        assert!(recovered_after >= recovered_before + 1);
-        assert!(exhausted_after >= exhausted_before + 1);
+        assert!(recovered_after > recovered_before);
+        assert!(exhausted_after > exhausted_before);
     }
 
     #[test]

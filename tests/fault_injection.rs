@@ -182,9 +182,9 @@ struct FaultySource {
 impl RatioSource for FaultySource {
     fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
         let n = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
-        if n % self.nan_every == 0 {
+        if n.is_multiple_of(self.nan_every) {
             f64::NAN
-        } else if n % self.neg_every == 0 {
+        } else if n.is_multiple_of(self.neg_every) {
             -1.0
         } else {
             self.inner.tcdp_ratio(sample)
@@ -397,7 +397,7 @@ fn injected_worker_panics_stay_within_the_failure_budget_at_eight_workers() {
 fn cancellation_at_random_chunk_boundaries_reports_coalesced_progress() {
     use ppatc_units::rng::SplitMix64;
 
-    let mut rng = SplitMix64::new(0xC4A0_5);
+    let mut rng = SplitMix64::new(0x000C_4A05);
     let n = 5_000usize;
     for round in 0..4 {
         let jobs = [1, 2, 4, 8][round];
