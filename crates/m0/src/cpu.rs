@@ -75,21 +75,34 @@ pub struct Cpu {
     cycles: u64,
     instructions: u64,
     halted: Option<u8>,
+    /// The program image decoded once, one slot per halfword: what fetch +
+    /// decode returns at that address, or `None` where it fails. Stores to
+    /// the program region fault, so the table never goes stale.
+    decoded: Vec<Option<Instruction>>,
 }
 
 impl Cpu {
     /// Creates a core with the program loaded at address 0, `pc = 0`, and
-    /// `sp` at the top of data memory.
+    /// `sp` at the top of data memory, and decodes the program once.
     pub fn new(program_image: &[u8]) -> Self {
         let mut regs = [0u32; 16];
         regs[Reg::SP.index()] = DATA_BASE + DATA_SIZE;
+        let mut memory = MemorySystem::new(program_image);
+        let decoded = (0..program_image.len() as u32)
+            .step_by(2)
+            .map(|pc| fetch_decode(&mut memory, pc).ok())
+            .collect();
+        // The table was read through the counted fetch path; a run starts
+        // with no access counted.
+        memory.reset_stats();
         Self {
             regs,
             apsr: Apsr::default(),
-            memory: MemorySystem::new(program_image),
+            memory,
             cycles: 0,
             instructions: 0,
             halted: None,
+            decoded,
         }
     }
 
@@ -135,7 +148,7 @@ impl Cpu {
             if self.cycles >= max_cycles {
                 return Err(ExecError::CycleLimit { limit: max_cycles });
             }
-            self.step()?;
+            self.execute_next()?;
         }
         Ok(RunSummary {
             cycles: self.cycles,
@@ -153,19 +166,25 @@ impl Cpu {
         if self.halted.is_some() {
             return Ok(());
         }
+        self.execute_next()
+    }
+
+    /// Executes the instruction at `pc` from the decode table, or through
+    /// fetch + decode where the table has none, so every fault is the one
+    /// fetch + decode reports.
+    #[inline(always)]
+    fn execute_next(&mut self) -> Result<(), ExecError> {
         let pc = self.regs[Reg::PC.index()];
-        let mem = |source| ExecError::Memory { pc, source };
-        let first = self.memory.fetch_halfword(pc).map_err(mem)?;
-        let next = if (first >> 11) == 0b11110 {
-            Some(self.memory.fetch_halfword(pc + 2).map_err(mem)?)
-        } else {
-            None
+        let inst = match self.decoded.get(pc as usize / 2) {
+            Some(&Some(inst)) if pc.is_multiple_of(2) => {
+                self.memory.count_fetches(inst.size() / 2);
+                inst
+            }
+            _ => fetch_decode(&mut self.memory, pc)?,
         };
-        let inst =
-            Instruction::decode(first, next).map_err(|source| ExecError::Decode { pc, source })?;
-        let size = inst.size();
         self.instructions += 1;
-        self.exec(inst, pc, size).map_err(mem)
+        self.exec(inst, pc)
+            .map_err(|source| ExecError::Memory { pc, source })
     }
 
     /// The PC value visible to instructions (current address + 4).
@@ -173,9 +192,10 @@ impl Cpu {
         pc.wrapping_add(4)
     }
 
-    fn exec(&mut self, inst: Instruction, pc: u32, size: u32) -> Result<(), MemoryError> {
+    #[inline(always)]
+    fn exec(&mut self, inst: Instruction, pc: u32) -> Result<(), MemoryError> {
         use Instruction::*;
-        let mut next_pc = pc.wrapping_add(size);
+        let mut next_pc = pc.wrapping_add(inst.size());
         let mut cost: u64 = 1;
         let cycle = self.cycles;
 
@@ -695,6 +715,18 @@ impl Cpu {
     }
 }
 
+/// Fetches (counting each halfword) and decodes the instruction at `pc`.
+fn fetch_decode(memory: &mut MemorySystem, pc: u32) -> Result<Instruction, ExecError> {
+    let mem = |source| ExecError::Memory { pc, source };
+    let first = memory.fetch_halfword(pc).map_err(mem)?;
+    let next = if (first >> 11) == 0b11110 {
+        Some(memory.fetch_halfword(pc + 2).map_err(mem)?)
+    } else {
+        None
+    };
+    Instruction::decode(first, next).map_err(|source| ExecError::Decode { pc, source })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -933,6 +965,21 @@ mod tests {
         let mut cpu = Cpu::new(&image);
         let err = cpu.run(100).expect_err("must not halt");
         assert!(matches!(err, ExecError::CycleLimit { .. }));
+    }
+
+    #[test]
+    fn guest_accesses_at_the_top_of_the_address_space_fault() {
+        let oob = |pc, addr| ExecError::Memory {
+            pc,
+            source: MemoryError::OutOfBounds { addr },
+        };
+        let image = assemble("ldr r1, =0xFFFFFFFC\nldr r0, [r1, #0]\nbkpt #0").expect("assembles");
+        let err = Cpu::new(&image).run(100).expect_err("load must fault");
+        assert_eq!(err, oob(2, 0xFFFF_FFFC));
+
+        let image = assemble("ldr r1, =0xFFFFFFFF\nbx r1").expect("assembles");
+        let err = Cpu::new(&image).run(100).expect_err("fetch must fault");
+        assert_eq!(err, oob(0xFFFF_FFFE, 0xFFFF_FFFE));
     }
 
     #[test]

@@ -134,74 +134,72 @@ impl MemorySystem {
         self.last_write.fill(NEVER);
     }
 
-    fn locate(&self, addr: u32, size: u32) -> Result<Region, MemoryError> {
-        if !addr.is_multiple_of(size) {
-            return Err(MemoryError::Misaligned { addr, size });
-        }
-        if addr + size <= PROG_SIZE {
-            Ok(Region::Program(addr as usize))
-        } else if (DATA_BASE..DATA_BASE + DATA_SIZE).contains(&addr)
-            && addr + size <= DATA_BASE + DATA_SIZE
-        {
-            Ok(Region::Data((addr - DATA_BASE) as usize))
-        } else {
-            Err(MemoryError::OutOfBounds { addr })
-        }
-    }
-
     /// Fetches one instruction halfword (counted as a fetch, not a read).
     ///
     /// # Errors
     ///
     /// Fails for addresses outside program memory or misaligned by 2.
     pub fn fetch_halfword(&mut self, addr: u32) -> Result<u16, MemoryError> {
-        match self.locate(addr, 2)? {
-            Region::Program(off) => {
-                self.stats.instruction_fetches += 1;
-                Ok(u16::from_le_bytes([
-                    self.program[off],
-                    self.program[off + 1],
-                ]))
-            }
-            Region::Data(_) => Err(MemoryError::OutOfBounds { addr }),
-        }
+        check_alignment(addr, 2)?;
+        let off = offset_in(addr, 2, 0, PROG_SIZE).ok_or(MemoryError::OutOfBounds { addr })?;
+        self.stats.instruction_fetches += 1;
+        Ok(u16::from_le_bytes([
+            self.program[off],
+            self.program[off + 1],
+        ]))
     }
 
-    fn read_bytes(&mut self, addr: u32, size: u32, cycle: u64) -> Result<&[u8], MemoryError> {
-        match self.locate(addr, size)? {
-            Region::Program(off) => {
-                self.stats.program_reads += 1;
-                Ok(&self.program[off..off + size as usize])
-            }
-            Region::Data(off) => {
-                self.stats.data_reads += 1;
-                let word = off / 4;
-                let written = self.last_write[word];
-                if written != NEVER && cycle >= written {
-                    let interval = cycle - written;
-                    if interval > self.stats.max_write_to_read_cycles {
-                        self.stats.max_write_to_read_cycles = interval;
-                    }
-                }
-                Ok(&self.data[off..off + size as usize])
-            }
-        }
+    /// Counts `count` instruction halfwords the core fetched without reading
+    /// them here (it executes them from its decode table).
+    pub(crate) fn count_fetches(&mut self, count: u32) {
+        self.stats.instruction_fetches += u64::from(count);
     }
 
-    fn write_bytes(&mut self, addr: u32, bytes: &[u8], cycle: u64) -> Result<(), MemoryError> {
-        match self.locate(addr, bytes.len() as u32)? {
-            Region::Program(_) => Err(MemoryError::ReadOnlyProgram { addr }),
-            Region::Data(off) => {
-                self.stats.data_writes += 1;
-                let word = off / 4;
-                if self.last_write[word] == NEVER {
-                    self.stats.words_written += 1;
+    /// The one read path: data memory first (the hot case), then program
+    /// memory (literal pools, constant tables).
+    #[inline(always)]
+    fn read<const N: usize>(&mut self, addr: u32, cycle: u64) -> Result<[u8; N], MemoryError> {
+        check_alignment(addr, N as u32)?;
+        if let Some(off) = offset_in(addr, N as u32, DATA_BASE, DATA_SIZE) {
+            self.stats.data_reads += 1;
+            let written = self.last_write[off / 4];
+            if written != NEVER && cycle >= written {
+                let interval = cycle - written;
+                if interval > self.stats.max_write_to_read_cycles {
+                    self.stats.max_write_to_read_cycles = interval;
                 }
-                self.last_write[word] = cycle;
-                self.data[off..off + bytes.len()].copy_from_slice(bytes);
-                Ok(())
             }
+            return Ok(bytes_at(&self.data, off));
         }
+        let off =
+            offset_in(addr, N as u32, 0, PROG_SIZE).ok_or(MemoryError::OutOfBounds { addr })?;
+        self.stats.program_reads += 1;
+        Ok(bytes_at(&self.program, off))
+    }
+
+    /// The one write path: data memory only.
+    #[inline(always)]
+    fn write<const N: usize>(
+        &mut self,
+        addr: u32,
+        bytes: [u8; N],
+        cycle: u64,
+    ) -> Result<(), MemoryError> {
+        check_alignment(addr, N as u32)?;
+        let Some(off) = offset_in(addr, N as u32, DATA_BASE, DATA_SIZE) else {
+            return Err(match offset_in(addr, N as u32, 0, PROG_SIZE) {
+                Some(_) => MemoryError::ReadOnlyProgram { addr },
+                None => MemoryError::OutOfBounds { addr },
+            });
+        };
+        self.stats.data_writes += 1;
+        let word = off / 4;
+        if self.last_write[word] == NEVER {
+            self.stats.words_written += 1;
+        }
+        self.last_write[word] = cycle;
+        self.data[off..off + N].copy_from_slice(&bytes);
+        Ok(())
     }
 
     /// Reads a 32-bit word.
@@ -210,8 +208,7 @@ impl MemorySystem {
     ///
     /// Fails for out-of-range or misaligned addresses.
     pub fn read_u32(&mut self, addr: u32, cycle: u64) -> Result<u32, MemoryError> {
-        let b = self.read_bytes(addr, 4, cycle)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.read(addr, cycle).map(u32::from_le_bytes)
     }
 
     /// Reads a 16-bit halfword (zero-extension is the caller's business).
@@ -220,8 +217,7 @@ impl MemorySystem {
     ///
     /// Fails for out-of-range or misaligned addresses.
     pub fn read_u16(&mut self, addr: u32, cycle: u64) -> Result<u16, MemoryError> {
-        let b = self.read_bytes(addr, 2, cycle)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        self.read(addr, cycle).map(u16::from_le_bytes)
     }
 
     /// Reads one byte.
@@ -230,7 +226,7 @@ impl MemorySystem {
     ///
     /// Fails for out-of-range addresses.
     pub fn read_u8(&mut self, addr: u32, cycle: u64) -> Result<u8, MemoryError> {
-        Ok(self.read_bytes(addr, 1, cycle)?[0])
+        self.read(addr, cycle).map(u8::from_le_bytes)
     }
 
     /// Writes a 32-bit word (data memory only).
@@ -239,7 +235,7 @@ impl MemorySystem {
     ///
     /// Fails for out-of-range, misaligned, or program-region addresses.
     pub fn write_u32(&mut self, addr: u32, value: u32, cycle: u64) -> Result<(), MemoryError> {
-        self.write_bytes(addr, &value.to_le_bytes(), cycle)
+        self.write(addr, value.to_le_bytes(), cycle)
     }
 
     /// Writes a 16-bit halfword (data memory only).
@@ -248,7 +244,7 @@ impl MemorySystem {
     ///
     /// Fails for out-of-range, misaligned, or program-region addresses.
     pub fn write_u16(&mut self, addr: u32, value: u16, cycle: u64) -> Result<(), MemoryError> {
-        self.write_bytes(addr, &value.to_le_bytes(), cycle)
+        self.write(addr, value.to_le_bytes(), cycle)
     }
 
     /// Writes one byte (data memory only).
@@ -257,7 +253,7 @@ impl MemorySystem {
     ///
     /// Fails for out-of-range or program-region addresses.
     pub fn write_u8(&mut self, addr: u32, value: u8, cycle: u64) -> Result<(), MemoryError> {
-        self.write_bytes(addr, &[value], cycle)
+        self.write(addr, [value], cycle)
     }
 
     /// Untracked debug read of a data-memory word (for test assertions).
@@ -296,9 +292,28 @@ impl MemorySystem {
     }
 }
 
-enum Region {
-    Program(usize),
-    Data(usize),
+fn check_alignment(addr: u32, size: u32) -> Result<(), MemoryError> {
+    if addr.is_multiple_of(size) {
+        Ok(())
+    } else {
+        Err(MemoryError::Misaligned { addr, size })
+    }
+}
+
+/// Offset of a `size`-byte access at `addr` in the region of `len` bytes at
+/// `base`, if the access lies wholly inside it. Overflow-free: an address
+/// below `base` wraps to an offset far above `len`, and `size <= len`.
+#[inline(always)]
+fn offset_in(addr: u32, size: u32, base: u32, len: u32) -> Option<usize> {
+    let off = addr.wrapping_sub(base);
+    (off <= len - size).then_some(off as usize)
+}
+
+#[inline(always)]
+fn bytes_at<const N: usize>(memory: &[u8], off: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&memory[off..off + N]);
+    out
 }
 
 #[cfg(test)]
@@ -369,6 +384,31 @@ mod tests {
         // Reading program memory as data is allowed (literal pools).
         assert!(m.read_u32(0, 0).is_ok());
         assert_eq!(m.stats().program_reads, 1);
+        // Each region ends exactly at its last whole access.
+        let top = DATA_BASE + DATA_SIZE;
+        assert!(m.write_u32(top - 4, 1, 0).is_ok());
+        assert_eq!(m.read_u32(top - 4, 0), Ok(1));
+        for addr in [top, DATA_BASE - 4] {
+            assert_eq!(m.read_u32(addr, 0), Err(MemoryError::OutOfBounds { addr }));
+        }
+        assert!(m.fetch_halfword(PROG_SIZE - 2).is_ok());
+        for addr in [PROG_SIZE, DATA_BASE] {
+            assert_eq!(
+                m.fetch_halfword(addr),
+                Err(MemoryError::OutOfBounds { addr })
+            );
+        }
+    }
+
+    #[test]
+    fn accesses_at_the_top_of_the_address_space_are_out_of_bounds() {
+        let mut m = MemorySystem::new(&[0; 4]);
+        let oob = |addr| Some(MemoryError::OutOfBounds { addr });
+        assert_eq!(m.read_u32(0xFFFF_FFFC, 0).err(), oob(0xFFFF_FFFC));
+        assert_eq!(m.read_u8(0xFFFF_FFFF, 0).err(), oob(0xFFFF_FFFF));
+        assert_eq!(m.fetch_halfword(0xFFFF_FFFE).err(), oob(0xFFFF_FFFE));
+        assert_eq!(m.write_u32(0xFFFF_FFFC, 1, 0).err(), oob(0xFFFF_FFFC));
+        assert_eq!(m.stats(), &AccessStats::default());
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn parse_args() -> Result<Options, String> {
 fn run_kernel(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let reps = opts.reps.unwrap_or(w.default_reps());
     if opts.disasm {
-        let image = asm::assemble(&w.source(reps))?;
+        let image = asm::assemble(&w.source(reps)?)?;
         println!("---- {} disassembly ({} bytes) ----", w.name(), image.len());
         for (addr, inst) in ppatc_m0::disassemble(&image) {
             println!("{addr:04x}: {inst}");
@@ -56,7 +56,7 @@ fn run_kernel(w: &Workload, opts: &Options) -> Result<(), Box<dyn std::error::Er
         println!();
     }
     if let Some(path) = &opts.vcd {
-        let image = asm::assemble(&w.source(reps))?;
+        let image = asm::assemble(&w.source(reps)?)?;
         let mut cpu = Cpu::new(&image);
         let vcd = VcdRecorder::new(w.name(), 2_000) // ps per cycle (500 MHz)
             .record_run(&mut cpu, 2_000_000_000)?; // max_cycles safety stop

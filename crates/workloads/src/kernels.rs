@@ -19,12 +19,7 @@ pub fn matmul_int() -> Workload {
 pub(crate) const MATMUL_DEFAULT_REPS: u32 = 186;
 const N: usize = 20;
 
-/// # Panics
-///
-/// If `reps` is outside `1..=255` (it must fit the kernel's 8-bit
-/// loop counter); registered kernels always pass defaults in range.
 fn matmul_source(reps: u32) -> String {
-    assert!((1..=255).contains(&reps), "matmul reps must be 1-255");
     format!(
         "
         ; ---- init: A[idx] = (7*idx+1)&0xFF, B[idx] = (3*idx+2)&0xFF ----
@@ -132,12 +127,7 @@ pub fn crc32() -> Workload {
     )
 }
 
-/// # Panics
-///
-/// If `reps` is outside `1..=255` (it must fit the kernel's 8-bit
-/// loop counter); registered kernels always pass defaults in range.
 fn crc32_source(reps: u32) -> String {
-    assert!((1..=255).contains(&reps), "crc32 reps must be 1-255");
     format!(
         "
         ; ---- init: data[i] = (13*i + 7) & 0xFF ----
@@ -209,12 +199,7 @@ pub fn edn() -> Workload {
     )
 }
 
-/// # Panics
-///
-/// If `reps` is outside `1..=255` (it must fit the kernel's 8-bit
-/// loop counter); registered kernels always pass defaults in range.
 fn edn_source(reps: u32) -> String {
-    assert!((1..=255).contains(&reps), "edn reps must be 1-255");
     format!(
         "
         ; ---- init: x[i]=(5i+3)&0x7F, y[i]=(11i+1)&0x7F ----
@@ -280,12 +265,7 @@ pub fn bubblesort() -> Workload {
     )
 }
 
-/// # Panics
-///
-/// If `reps` is outside `1..=255` (it must fit the kernel's 8-bit
-/// loop counter); registered kernels always pass defaults in range.
 fn bubblesort_source(reps: u32) -> String {
-    assert!((1..=255).contains(&reps), "bubblesort reps must be 1-255");
     format!(
         "
             movs r7, #{reps}
@@ -364,12 +344,7 @@ pub fn sieve() -> Workload {
     )
 }
 
-/// # Panics
-///
-/// If `reps` is outside `1..=255` (it must fit the kernel's 8-bit
-/// loop counter); registered kernels always pass defaults in range.
 fn sieve_source(reps: u32) -> String {
-    assert!((1..=255).contains(&reps), "sieve reps must be 1-255");
     format!(
         "
             movs r7, #{reps}
@@ -442,12 +417,7 @@ pub fn fir() -> Workload {
     )
 }
 
-/// # Panics
-///
-/// If `reps` is outside `1..=255` (it must fit the kernel's 8-bit
-/// loop counter); registered kernels always pass defaults in range.
 fn fir_source(reps: u32) -> String {
-    assert!((1..=255).contains(&reps), "fir reps must be 1-255");
     format!(
         "
         ; ---- init: x[i]=(9i+5)&0xFF, c[k]=k+1 ----

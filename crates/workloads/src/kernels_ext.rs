@@ -31,12 +31,7 @@ pub fn mont64() -> Workload {
     )
 }
 
-/// # Panics
-///
-/// If `reps` is outside `1..=255` (it must fit the kernel's 8-bit
-/// loop counter); registered kernels always pass defaults in range.
 fn mont64_source(reps: u32) -> String {
-    assert!((1..=255).contains(&reps), "mont64 reps must be 1-255");
     format!(
         "
         ; ---- init: x[i] = i*2654435761, y[i] = i*40503+77 over 64 words
@@ -142,12 +137,7 @@ pub fn huffman() -> Workload {
     )
 }
 
-/// # Panics
-///
-/// If `reps` is outside `1..=255` (it must fit the kernel's 8-bit
-/// loop counter); registered kernels always pass defaults in range.
 fn huffman_source(reps: u32) -> String {
-    assert!((1..=255).contains(&reps), "huffman reps must be 1-255");
     format!(
         "
             movs r7, #{reps}
@@ -252,12 +242,7 @@ pub fn nbody_fx() -> Workload {
     )
 }
 
-/// # Panics
-///
-/// If `reps` is outside `1..=255` (it must fit the kernel's 8-bit
-/// loop counter); registered kernels always pass defaults in range.
 fn nbody_source(reps: u32) -> String {
-    assert!((1..=255).contains(&reps), "nbody reps must be 1-255");
     format!(
         "
             movs r7, #{reps}
@@ -379,12 +364,7 @@ fn fsm_table() -> Vec<u32> {
         .collect()
 }
 
-/// # Panics
-///
-/// If `reps` is outside `1..=255` (it must fit the kernel's 8-bit
-/// loop counter); registered kernels always pass defaults in range.
 fn fsm_source(reps: u32) -> String {
-    assert!((1..=255).contains(&reps), "fsm reps must be 1-255");
     let table_words: String = fsm_table()
         .iter()
         .map(|w| format!("            .word {w}\n"))

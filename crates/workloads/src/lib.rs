@@ -50,6 +50,10 @@ pub use kernels_ext::{fsm, huffman, mont64, nbody_fx};
 /// Safety valve for runaway kernels.
 const MAX_CYCLES: u64 = 2_000_000_000;
 
+/// Repetition counts every kernel accepts: each loads its count into an
+/// 8-bit `movs` immediate and counts it down to zero.
+const REPS: core::ops::RangeInclusive<u32> = 1..=255;
+
 /// A benchmark kernel: assembly source plus a Rust golden reference.
 #[derive(Clone)]
 pub struct Workload {
@@ -161,8 +165,18 @@ impl Workload {
     }
 
     /// The assembly source for a given repetition count.
-    pub fn source(&self, reps: u32) -> String {
-        (self.source)(reps)
+    ///
+    /// # Errors
+    ///
+    /// [`WorkloadError::Reps`] if `reps` is outside `1..=255`.
+    pub fn source(&self, reps: u32) -> Result<String, WorkloadError> {
+        if !REPS.contains(&reps) {
+            return Err(WorkloadError::Reps {
+                workload: self.name,
+                reps,
+            });
+        }
+        Ok((self.source)(reps))
     }
 
     /// The golden checksum this kernel must produce.
@@ -184,12 +198,13 @@ impl Workload {
     ///
     /// # Errors
     ///
+    /// - [`WorkloadError::Reps`] if `reps` is outside `1..=255`
     /// - [`WorkloadError::Assemble`] if the kernel source fails to assemble
     /// - [`WorkloadError::Execute`] for simulator faults or cycle-limit
     /// - [`WorkloadError::ChecksumMismatch`] if the simulated result differs
     ///   from the golden reference (a simulator or kernel bug)
     pub fn execute_with_reps(&self, reps: u32) -> Result<WorkloadRun, WorkloadError> {
-        let image = asm::assemble(&self.source(reps)).map_err(WorkloadError::Assemble)?;
+        let image = asm::assemble(&self.source(reps)?).map_err(WorkloadError::Assemble)?;
         let mut cpu = Cpu::new(&image);
         let summary = cpu.run(MAX_CYCLES).map_err(WorkloadError::Execute)?;
         let checksum = cpu.reg(0);
@@ -237,6 +252,13 @@ pub struct WorkloadRun {
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum WorkloadError {
+    /// The repetition count is outside `1..=255`.
+    Reps {
+        /// Kernel asked for.
+        workload: &'static str,
+        /// The rejected count.
+        reps: u32,
+    },
     /// Kernel source failed to assemble.
     Assemble(asm::AsmError),
     /// Simulator fault or cycle-limit overflow.
@@ -255,6 +277,12 @@ pub enum WorkloadError {
 impl core::fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
+            WorkloadError::Reps { workload, reps } => write!(
+                f,
+                "`{workload}` takes {} to {} repetitions, not {reps}",
+                REPS.start(),
+                REPS.end()
+            ),
             WorkloadError::Assemble(e) => write!(f, "kernel failed to assemble: {e}"),
             WorkloadError::Execute(e) => write!(f, "kernel failed to run: {e}"),
             WorkloadError::ChecksumMismatch {
@@ -274,7 +302,7 @@ impl std::error::Error for WorkloadError {
         match self {
             WorkloadError::Assemble(e) => Some(e),
             WorkloadError::Execute(e) => Some(e),
-            WorkloadError::ChecksumMismatch { .. } => None,
+            WorkloadError::Reps { .. } | WorkloadError::ChecksumMismatch { .. } => None,
         }
     }
 }
@@ -312,6 +340,20 @@ mod tests {
         assert_eq!(one.checksum, three.checksum);
         let ratio = three.cycles as f64 / one.cycles as f64;
         assert!((2.5..3.5).contains(&ratio), "cycle ratio {ratio}");
+    }
+
+    #[test]
+    fn reps_outside_the_counter_range_are_an_error() {
+        let w = Workload::crc32();
+        for reps in [0, 256] {
+            let err = WorkloadError::Reps {
+                workload: "crc32",
+                reps,
+            };
+            assert_eq!(w.source(reps), Err(err.clone()));
+            assert_eq!(w.execute_with_reps(reps), Err(err));
+        }
+        assert!(w.source(255).is_ok());
     }
 
     #[test]
