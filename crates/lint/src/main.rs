@@ -5,7 +5,6 @@
 //! cargo run -p ppatc-lint -- --deny-warnings   # CI gate: warnings fail too
 //! cargo run -p ppatc-lint -- --json            # machine-readable output
 //! cargo run -p ppatc-lint -- --jobs 4          # explicit worker count
-//! cargo run -p ppatc-lint -- --no-cache        # skip the incremental cache
 //! cargo run -p ppatc-lint -- --list-rules      # print the rule catalog
 //! cargo run -p ppatc-lint -- --explain PL006   # rationale for one rule
 //! ```
@@ -23,7 +22,6 @@ struct Options {
     list_rules: bool,
     jobs: Option<usize>,
     explain: Option<String>,
-    no_cache: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -34,7 +32,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         list_rules: false,
         jobs: None,
         explain: None,
-        no_cache: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -42,7 +39,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--json" => opts.json = true,
             "--deny-warnings" => opts.deny_warnings = true,
             "--list-rules" => opts.list_rules = true,
-            "--no-cache" => opts.no_cache = true,
             "--root" => match it.next() {
                 Some(p) => opts.root = Some(PathBuf::from(p)),
                 None => return Err("--root requires a path".to_string()),
@@ -58,7 +54,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: ppatc-lint [--root <dir>] [--json] [--deny-warnings] \
-                            [--jobs <n>] [--no-cache] [--list-rules] [--explain <code>]"
+                            [--jobs <n>] [--list-rules] [--explain <code>]"
                         .to_string(),
                 )
             }
@@ -125,7 +121,7 @@ fn main() -> ExitCode {
 
     let jobs = opts.jobs.unwrap_or_else(ppatc_lint::default_jobs);
     let started = Instant::now();
-    let report = match ppatc_lint::lint_workspace_cached(&root, jobs, !opts.no_cache) {
+    let report = match ppatc_lint::lint_workspace(&root, jobs) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ppatc-lint: {e}");
@@ -135,8 +131,8 @@ fn main() -> ExitCode {
     let elapsed = started.elapsed();
 
     if opts.json {
-        // No timing or cache-hit counters here: --json output is
-        // byte-identical across worker counts, runs, and cache states.
+        // No timing here: --json output is byte-identical across worker
+        // counts and runs.
         let body: Vec<String> = report.diagnostics.iter().map(|d| d.json()).collect();
         println!("{{\"schema\":3,\"findings\":[{}]}}", body.join(","));
     } else {
@@ -152,9 +148,8 @@ fn main() -> ExitCode {
             report.suppressed
         );
         println!(
-            "ppatc-lint: analyzed in {:.1} ms (jobs={jobs}, {} cached)",
-            elapsed.as_secs_f64() * 1e3,
-            report.cache_hits
+            "ppatc-lint: analyzed in {:.1} ms (jobs={jobs})",
+            elapsed.as_secs_f64() * 1e3
         );
     }
 

@@ -16,11 +16,6 @@
 //! cycle fails to converge). Findings are only emitted by the final
 //! [`Engine::check`] pass; iteration rounds discard them, so a finding is
 //! always phrased against the *converged* summaries.
-//!
-//! Summaries of files restored from the incremental cache participate as
-//! fixed inputs: their `FnDim`s are trusted verbatim and never
-//! re-inferred (the cache layer re-analyzes a file whenever the
-//! fingerprint of its callees' summaries changes).
 
 use crate::ast::Block;
 use crate::callgraph::{CallRef, FnSummary};
@@ -38,7 +33,7 @@ const MAX_ROUNDS: usize = 8;
 /// call chains one level per round; workspace chains are shallow).
 const RANGE_ROUNDS: usize = 4;
 
-/// A serializable abstract value (the owned mirror of [`dims`]' `Val`,
+/// An abstract value (the owned mirror of [`dims`]' `Val`,
 /// without literal payloads — summaries describe units, not magnitudes).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum AbsVal {
@@ -111,13 +106,12 @@ pub(crate) struct FnBody<'a> {
 }
 
 /// The fixed-point engine. Indexing is shared with the workspace summary
-/// list: `bodies[i]`/`fixed[i]` describe `summaries[i]`.
+/// list: `bodies[i]` is the body `summaries[i]` was made from.
 pub(crate) struct Engine<'a> {
     summaries: &'a [FnSummary],
     table: &'a crate::symbols::SymbolTable<'a>,
-    /// Parsed bodies for freshly analyzed fns; `None` for fns restored
-    /// from cache (and for bodiless trait signatures).
-    bodies: Vec<Option<FnBody<'a>>>,
+    /// The parsed body of every summarized fn.
+    bodies: Vec<FnBody<'a>>,
     /// Current summary iterate.
     dims: RefCell<Vec<FnDim>>,
     /// Call-site evidence per fn parameter: `None` = no site seen,
@@ -129,28 +123,15 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds the engine. `fixed[i]` supplies the trusted summary for a
-    /// cache-restored fn; such fns participate in resolution but are
-    /// never re-inferred.
+    /// Builds the engine, seeding every parameter from its signature.
     pub fn new(
         summaries: &'a [FnSummary],
         table: &'a crate::symbols::SymbolTable<'a>,
-        bodies: Vec<Option<FnBody<'a>>>,
-        fixed: Vec<Option<FnDim>>,
+        bodies: Vec<FnBody<'a>>,
     ) -> Self {
         let mut dims = Vec::with_capacity(summaries.len());
         let mut sig_seeded = Vec::with_capacity(summaries.len());
-        for (i, s) in summaries.iter().enumerate() {
-            if let Some(fd) = &fixed[i] {
-                sig_seeded.push(vec![true; fd.params.len()]);
-                dims.push(fd.clone());
-                continue;
-            }
-            let Some(body) = &bodies[i] else {
-                sig_seeded.push(Vec::new());
-                dims.push(FnDim::default());
-                continue;
-            };
+        for (s, body) in summaries.iter().zip(&bodies) {
             let seed = dims::seed_params(body.item);
             let mut params = Vec::with_capacity(body.item.params.len());
             let mut pinned = Vec::with_capacity(body.item.params.len());
@@ -193,11 +174,8 @@ impl<'a> Engine<'a> {
     /// The parameter environment for evaluating fn `i`'s body.
     fn env_of(&self, i: usize) -> HashMap<String, Val> {
         let mut env = HashMap::new();
-        let Some(body) = &self.bodies[i] else {
-            return env;
-        };
         let dims = self.dims.borrow();
-        for (p, av) in body.item.params.iter().zip(&dims[i].params) {
+        for (p, av) in self.bodies[i].item.params.iter().zip(&dims[i].params) {
             if p.name == "self" || p.name == "_" {
                 continue;
             }
@@ -217,10 +195,7 @@ impl<'a> Engine<'a> {
             }
             let mut changed = false;
             let mut scratch = Vec::new();
-            for i in 0..self.summaries.len() {
-                let Some(body) = &self.bodies[i] else {
-                    continue;
-                };
+            for (i, body) in self.bodies.iter().enumerate() {
                 scratch.clear();
                 let oracle = Oracle {
                     engine: self,
@@ -236,13 +211,10 @@ impl<'a> Engine<'a> {
                 }
             }
             // Adopt unanimous call-site evidence for signature-unseeded
-            // parameters of inferable fns.
+            // parameters.
             let evidence = self.evidence.borrow();
             let mut dims = self.dims.borrow_mut();
             for (i, row) in evidence.iter().enumerate() {
-                if self.bodies[i].is_none() {
-                    continue;
-                }
                 for (p, cell) in row.iter().enumerate() {
                     if self.sig_seeded[i].get(p).copied().unwrap_or(true) {
                         continue;
@@ -269,10 +241,7 @@ impl<'a> Engine<'a> {
         let mut scratch = Vec::new();
         for _ in 0..RANGE_ROUNDS {
             let mut changed = false;
-            for i in 0..self.summaries.len() {
-                let Some(body) = &self.bodies[i] else {
-                    continue;
-                };
+            for (i, body) in self.bodies.iter().enumerate() {
                 scratch.clear();
                 let oracle = RangeOracle {
                     engine: self,
@@ -300,18 +269,17 @@ impl<'a> Engine<'a> {
     /// converged range summaries, emitting PL013/PL014/PL015 findings.
     pub fn check_ranges(&self, i: usize) -> Vec<RangeFinding> {
         let mut out = Vec::new();
-        if let Some(body) = &self.bodies[i] {
-            let oracle = RangeOracle {
-                engine: self,
-                caller: i,
-            };
-            vals::eval_fn(
-                vals::seed_params(body.item),
-                body.block,
-                Some(&oracle),
-                &mut out,
-            );
-        }
+        let body = &self.bodies[i];
+        let oracle = RangeOracle {
+            engine: self,
+            caller: i,
+        };
+        vals::eval_fn(
+            vals::seed_params(body.item),
+            body.block,
+            Some(&oracle),
+            &mut out,
+        );
         out
     }
 
@@ -320,20 +288,18 @@ impl<'a> Engine<'a> {
     /// and call-site alike).
     pub fn check(&self, i: usize) -> Vec<Finding> {
         let mut out = Vec::new();
-        if let Some(body) = &self.bodies[i] {
-            let oracle = Oracle {
-                engine: self,
-                caller: i,
-                collect: false,
-            };
-            dims::eval_fn(self.env_of(i), body.block, Some(&oracle), &mut out);
-        }
+        let oracle = Oracle {
+            engine: self,
+            caller: i,
+            collect: false,
+        };
+        dims::eval_fn(
+            self.env_of(i),
+            self.bodies[i].block,
+            Some(&oracle),
+            &mut out,
+        );
         out
-    }
-
-    /// The converged summaries, aligned with the workspace summary list.
-    pub fn into_dims(self) -> Vec<FnDim> {
-        self.dims.into_inner()
     }
 }
 
@@ -383,7 +349,7 @@ impl dims::Inter for Oracle<'_, '_> {
                 out,
             );
         }
-        if self.collect && self.engine.bodies[j].is_some() {
+        if self.collect {
             let mut evidence = self.engine.evidence.borrow_mut();
             for (n, arg) in args.iter().enumerate() {
                 if let Some(cell) = evidence[j].get_mut(offset + n) {

@@ -182,7 +182,7 @@ impl<'a> SymbolTable<'a> {
     }
 
     /// Resolves every call of every fn, producing the edge list the PL009
-    /// taint pass and the cache's invalidation fingerprints run over.
+    /// taint pass runs over.
     /// `edges[i]` is sorted and deduplicated.
     pub fn edges(&self) -> Vec<Vec<usize>> {
         (0..self.summaries.len())

@@ -1,13 +1,13 @@
 //! Whole-workspace integration tests: cross-crate dimension propagation,
 //! panic-reachability witness paths, wall-clock taint through helpers, and
-//! the incremental summary cache — all exercised against scratch
-//! workspaces built on disk, exactly the way the CLI sees the real one.
+//! the CLI's JSON output — all exercised against scratch workspaces built
+//! on disk, exactly the way the CLI sees the real one.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ppatc_lint::{lint_workspace_cached, Report};
+use ppatc_lint::{lint_workspace, Report};
 
 static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
 
@@ -25,22 +25,17 @@ impl Scratch {
         fs::create_dir_all(&root).expect("create scratch root");
         fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n")
             .expect("write workspace manifest");
-        let scratch = Self { root };
         for (rel, src) in files {
-            scratch.write(rel, src);
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().expect("file path has a parent"))
+                .expect("create source dir");
+            fs::write(path, src).expect("write source file");
         }
-        scratch
+        Self { root }
     }
 
-    fn write(&self, rel: &str, src: &str) {
-        let path = self.root.join(rel);
-        fs::create_dir_all(path.parent().expect("file path has a parent"))
-            .expect("create source dir");
-        fs::write(path, src).expect("write source file");
-    }
-
-    fn lint(&self, use_cache: bool) -> Report {
-        lint_workspace_cached(&self.root, 1, use_cache).expect("scratch workspace lints")
+    fn lint(&self) -> Report {
+        lint_workspace(&self.root, 1).expect("scratch workspace lints")
     }
 }
 
@@ -67,29 +62,77 @@ const CORE_CALLS_FAB_WITH_TIME: &str = "pub fn embodied_joules(delay_ns: f64) ->
      \x20   ppatc_fab::per_wafer_energy_joules(delay_ns)\n\
      }\n";
 
+const CORE_CALLS_FAB_WITH_ENERGY: &str = "pub fn embodied_joules(heat_joules: f64) -> f64 {\n\
+     \x20   ppatc_fab::per_wafer_energy_joules(heat_joules)\n\
+     }\n";
+
+const FAB_SCALE_RAW: &str = "pub fn scale(raw: f64) -> f64 {\n\x20   raw * 1.05\n}\n";
+
+const FAB_SCALE_ENERGY: &str =
+    "pub fn scale(energy_joules: f64) -> f64 {\n\x20   energy_joules * 1.05\n}\n";
+
+const CORE_SCALES_TIME: &str = "pub fn embodied_joules(delay_ns: f64) -> f64 {\n\
+     \x20   ppatc_fab::scale(delay_ns)\n\
+     }\n";
+
+/// Each case is a (fab, core) pair and whether the call from core into fab
+/// must fire PL006. The unit of the callee's parameter comes from fab's
+/// file alone, so a finding in core proves the summary crossed crates.
 #[test]
 fn dimension_mismatch_crosses_crate_boundaries() {
-    let ws = Scratch::new(&[
-        ("crates/fab/src/lib.rs", FAB_ENERGY),
-        ("crates/core/src/lib.rs", CORE_CALLS_FAB_WITH_TIME),
-    ]);
-    let report = ws.lint(false);
-    let pl006: Vec<_> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.code == "PL006")
-        .collect();
-    assert_eq!(pl006.len(), 1, "diagnostics: {}", render(&report));
-    assert!(
-        pl006[0].path.contains("core"),
-        "finding should anchor at the call site: {}",
-        pl006[0].path
-    );
-    assert!(
-        pl006[0].message.contains("defined in crates/fab"),
-        "message should cite the callee's crate: {}",
-        pl006[0].message
-    );
+    let cases = [
+        (
+            "time into energy",
+            FAB_ENERGY,
+            CORE_CALLS_FAB_WITH_TIME,
+            true,
+        ),
+        (
+            "energy into energy",
+            FAB_ENERGY,
+            CORE_CALLS_FAB_WITH_ENERGY,
+            false,
+        ),
+        (
+            "undimensioned callee",
+            FAB_SCALE_RAW,
+            CORE_SCALES_TIME,
+            false,
+        ),
+        (
+            "time into scale(energy)",
+            FAB_SCALE_ENERGY,
+            CORE_SCALES_TIME,
+            true,
+        ),
+    ];
+    for (case, fab, core, fires) in cases {
+        let ws = Scratch::new(&[
+            ("crates/fab/src/lib.rs", fab),
+            ("crates/core/src/lib.rs", core),
+        ]);
+        let report = ws.lint();
+        let pl006: Vec<_> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "PL006")
+            .collect();
+        if !fires {
+            assert!(pl006.is_empty(), "{case}: {}", render(&report));
+            continue;
+        }
+        assert_eq!(pl006.len(), 1, "{case}: {}", render(&report));
+        assert!(
+            pl006[0].path.contains("core"),
+            "{case}: finding should anchor at the call site: {}",
+            pl006[0].path
+        );
+        assert!(
+            pl006[0].message.contains("defined in crates/fab"),
+            "{case}: message should cite the callee's crate: {}",
+            pl006[0].message
+        );
+    }
 }
 
 #[test]
@@ -110,7 +153,7 @@ fn panic_reachability_reports_a_cross_crate_witness_path() {
              }\n",
         ),
     ]);
-    let report = ws.lint(false);
+    let report = ws.lint();
     let pl009: Vec<_> = report
         .diagnostics
         .iter()
@@ -136,7 +179,7 @@ fn wall_clock_taint_flows_through_helper_fns() {
          \x20   ppatc_units::Energy::from_joules(elapsed_portion(t0) * power_watts)\n\
          }\n",
     )]);
-    let report = ws.lint(false);
+    let report = ws.lint();
     assert!(
         report.diagnostics.iter().any(|d| d.code == "PL011"),
         "expected PL011 through the helper: {}",
@@ -144,132 +187,41 @@ fn wall_clock_taint_flows_through_helper_fns() {
     );
 }
 
-#[test]
-fn warm_cache_run_is_byte_identical_to_cold() {
-    let ws = Scratch::new(&[
-        ("crates/fab/src/lib.rs", FAB_ENERGY),
-        ("crates/core/src/lib.rs", CORE_CALLS_FAB_WITH_TIME),
-    ]);
-    let cold = ws.lint(true);
-    assert_eq!(cold.cache_hits, 0, "first run must analyze everything");
-    let warm = ws.lint(true);
-    assert_eq!(
-        warm.cache_hits, warm.files,
-        "unchanged rerun should hit on every file"
-    );
-    assert_eq!(render(&cold), render(&warm));
-    assert_eq!(cold.suppressed, warm.suppressed);
-    assert!(
-        ws.root.join("target/ppatc-lint.cache").is_file(),
-        "cache file should persist under target/"
-    );
-}
-
-#[test]
-fn editing_a_caller_invalidates_the_cached_cross_crate_finding() {
-    let ws = Scratch::new(&[
-        ("crates/fab/src/lib.rs", FAB_ENERGY),
-        ("crates/core/src/lib.rs", CORE_CALLS_FAB_WITH_TIME),
-    ]);
-    let cold = ws.lint(true);
-    assert!(
-        cold.diagnostics.iter().any(|d| d.code == "PL006"),
-        "seed workspace must carry the mismatch: {}",
-        render(&cold)
-    );
-
-    // Fix the call site: pass an energy where an energy is expected. A
-    // stale cache would keep reporting the old mismatch.
-    ws.write(
-        "crates/core/src/lib.rs",
-        "pub fn embodied_joules(heat_joules: f64) -> f64 {\n\
-         \x20   ppatc_fab::per_wafer_energy_joules(heat_joules)\n\
-         }\n",
-    );
-    let after = ws.lint(true);
-    assert!(
-        !after.diagnostics.iter().any(|d| d.code == "PL006"),
-        "edited workspace must be clean: {}",
-        render(&after)
-    );
-}
-
-#[test]
-fn editing_a_callee_signature_propagates_to_cached_callers() {
-    let ws = Scratch::new(&[
-        (
-            "crates/fab/src/lib.rs",
-            "pub fn scale(raw: f64) -> f64 {\n\x20   raw * 1.05\n}\n",
-        ),
-        (
-            "crates/core/src/lib.rs",
-            "pub fn embodied_joules(delay_ns: f64) -> f64 {\n\
-             \x20   ppatc_fab::scale(delay_ns)\n\
-             }\n",
-        ),
-    ]);
-    let cold = ws.lint(true);
-    assert!(
-        !cold.diagnostics.iter().any(|d| d.code == "PL006"),
-        "undimensioned callee cannot mismatch: {}",
-        render(&cold)
-    );
-
-    // Give the callee a dimensioned parameter. Only fab's file changes on
-    // disk, but the caller's cached verdict must be re-derived: the
-    // neighborhood invalidation has to reach core via the call edge.
-    ws.write(
-        "crates/fab/src/lib.rs",
-        "pub fn scale(energy_joules: f64) -> f64 {\n\x20   energy_joules * 1.05\n}\n",
-    );
-    let after = ws.lint(true);
-    assert!(
-        after.diagnostics.iter().any(|d| d.code == "PL006"),
-        "caller must now mismatch against the new signature: {}",
-        render(&after)
-    );
-}
-
 /// The CLI end of the same invariants: `--json` output carries the schema
-/// version, pins the finding shape byte-for-byte, and a warm cached run
-/// prints exactly what the cold run printed.
+/// version and pins the finding shape byte-for-byte, and a run writes
+/// nothing into the linted workspace.
 #[test]
-fn cli_json_output_is_schema_versioned_and_cache_stable() {
+fn cli_json_output_is_schema_versioned_and_writes_nothing() {
     let ws = Scratch::new(&[(
         "crates/device/src/lib.rs",
         "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n",
     )]);
-    let run = |extra: &[&str]| {
-        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_ppatc-lint"));
-        cmd.arg("--root").arg(&ws.root).arg("--json");
-        for a in extra {
-            cmd.arg(a);
-        }
-        let out = cmd.output().expect("run ppatc-lint");
-        (
-            out.status.code(),
-            String::from_utf8(out.stdout).expect("utf-8 stdout"),
-        )
-    };
-
-    let (code, uncached) = run(&["--no-cache"]);
-    assert_eq!(code, Some(1), "a deny finding must fail the run");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ppatc-lint"))
+        .arg("--root")
+        .arg(&ws.root)
+        .arg("--json")
+        .output()
+        .expect("run ppatc-lint");
     assert_eq!(
-        uncached,
+        out.status.code(),
+        Some(1),
+        "a deny finding must fail the run"
+    );
+    assert_eq!(
+        String::from_utf8(out.stdout).expect("utf-8 stdout"),
         "{\"schema\":3,\"findings\":[{\"code\":\"PL002\",\"rule\":\"panic-in-lib\",\
          \"severity\":\"deny\",\"path\":\"crates/device/src/lib.rs\",\"line\":1,\"col\":37,\
          \"message\":\"`.unwrap()` in non-test library code; document a `# Panics` \
          contract on `fn f` or return a Result\"}]}\n"
     );
-
-    let (_, cold) = run(&[]);
-    let (_, warm) = run(&[]);
-    assert_eq!(cold, uncached, "cache must not change the report");
-    assert_eq!(warm, cold, "warm output must be byte-identical to cold");
+    assert!(
+        !ws.root.join("target").exists(),
+        "a lint run must not write under the linted root's target/"
+    );
 }
 
 /// Scratch-workspace determinism rules fire exactly like the real run:
-/// jobs=1 vs jobs=4 and cold vs warm all render identically.
+/// jobs=1 and jobs=4 render identically.
 #[test]
 fn scratch_workspace_report_is_worker_count_invariant() {
     let ws = Scratch::new(&[
@@ -283,8 +235,8 @@ fn scratch_workspace_report_is_worker_count_invariant() {
              }\n",
         ),
     ]);
-    let serial = lint_workspace_cached(&ws.root, 1, false).expect("serial");
-    let parallel = lint_workspace_cached(&ws.root, 4, false).expect("parallel");
+    let serial = lint_workspace(&ws.root, 1).expect("serial");
+    let parallel = lint_workspace(&ws.root, 4).expect("parallel");
     assert!(
         serial.diagnostics.iter().any(|d| d.code == "PL010"),
         "hash-order escape must fire: {}",

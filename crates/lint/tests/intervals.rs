@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ppatc_lint::{lint_workspace_cached, Diagnostic, Report};
+use ppatc_lint::{lint_workspace, Diagnostic, Report};
 
 static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
 
@@ -34,8 +34,8 @@ impl Scratch {
         Self { root }
     }
 
-    fn lint(&self, use_cache: bool) -> Report {
-        lint_workspace_cached(&self.root, 1, use_cache).expect("scratch workspace lints")
+    fn lint(&self) -> Report {
+        lint_workspace(&self.root, 1).expect("scratch workspace lints")
     }
 }
 
@@ -63,6 +63,9 @@ fn div_by_zero_catches_seeded_bugs() {
          \x20   let d = x.max(0.0);\n\
          \x20   1.0 / d\n\
          }\n\
+         pub fn bug_inline_clamp(x: f64) -> f64 {\n\
+         \x20   1.0 / x.max(0.0)\n\
+         }\n\
          pub fn bug_loop_counter(xs: &[f64]) -> f64 {\n\
          \x20   let mut s = 0.0;\n\
          \x20   let mut n = 0.0;\n\
@@ -80,12 +83,12 @@ fn div_by_zero_catches_seeded_bugs() {
          \x20   1.0 / d\n\
          }\n",
     )]);
-    let report = ws.lint(false);
+    let report = ws.lint();
     let hits = with_code(&report, "PL013");
     assert_eq!(
         hits.len(),
-        2,
-        "both seeded divisions must fire and the guarded one must not: {:?}",
+        3,
+        "every seeded division must fire and the guarded one must not: {:?}",
         report.diagnostics
     );
     assert!(hits
@@ -111,7 +114,7 @@ fn div_by_zero_range_crosses_crate_boundaries() {
              }\n",
         ),
     ]);
-    let report = ws.lint(false);
+    let report = ws.lint();
     let hits = with_code(&report, "PL013");
     assert_eq!(hits.len(), 1, "diagnostics: {:?}", report.diagnostics);
     assert_eq!(hits[0].path, "crates/core/src/lib.rs");
@@ -129,7 +132,7 @@ fn assert_guards_refine_like_if_guards() {
          \x20   1.0 / d\n\
          }\n",
     )]);
-    let report = ws.lint(false);
+    let report = ws.lint();
     assert!(
         with_code(&report, "PL013").is_empty(),
         "assert!(d > 0.0) proves the divisor non-zero: {:?}",
@@ -161,7 +164,7 @@ fn domain_error_catches_seeded_bugs() {
          \x20   x.sqrt()\n\
          }\n",
     )]);
-    let report = ws.lint(false);
+    let report = ws.lint();
     let hits = with_code(&report, "PL014");
     assert_eq!(
         hits.len(),
@@ -193,7 +196,7 @@ fn nan_comparison_catches_seeded_bugs() {
          \x20   a.total_cmp(&b)\n\
          }\n",
     )]);
-    let report = ws.lint(false);
+    let report = ws.lint();
     let hits = with_code(&report, "PL015");
     assert_eq!(
         hits.len(),
@@ -207,7 +210,7 @@ fn nan_comparison_catches_seeded_bugs() {
         .all(|d| d.severity == ppatc_lint::Severity::Warn));
 }
 
-// --- widening, caching, and total-workspace robustness ------------------------
+// --- widening and total-workspace robustness ---------------------------------
 
 #[test]
 fn widening_terminates_on_growing_accumulators() {
@@ -235,7 +238,7 @@ fn widening_terminates_on_growing_accumulators() {
          \x20   1.0 / x\n\
          }\n",
     )]);
-    let report = ws.lint(false);
+    let report = ws.lint();
     let hits = with_code(&report, "PL013");
     assert_eq!(
         hits.len(),
@@ -245,32 +248,6 @@ fn widening_terminates_on_growing_accumulators() {
         report.diagnostics
     );
     assert!(hits[0].message.contains("admits zero"));
-}
-
-#[test]
-fn interval_findings_survive_a_warm_cache() {
-    let ws = Scratch::new(&[(
-        "crates/core/src/lib.rs",
-        "pub fn bug_div(x: f64) -> f64 {\n\
-         \x20   1.0 / x.max(0.0)\n\
-         }\n",
-    )]);
-    let cold = ws.lint(true);
-    let warm = ws.lint(true);
-    assert!(warm.cache_hits > 0, "second run must hit the cache");
-    let render = |r: &Report| {
-        r.diagnostics
-            .iter()
-            .map(ppatc_lint::Diagnostic::json)
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    assert_eq!(
-        render(&cold),
-        render(&warm),
-        "cached PL013 findings must be byte-identical on a warm run"
-    );
-    assert_eq!(with_code(&cold, "PL013").len(), 1);
 }
 
 #[test]

@@ -9,7 +9,8 @@ use std::path::Path;
 #[test]
 fn workspace_lints_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let report = ppatc_lint::lint_workspace(&root).expect("workspace should be lintable");
+    let report = ppatc_lint::lint_workspace(&root, ppatc_lint::default_jobs())
+        .expect("workspace should be lintable");
     assert!(
         report.files > 50,
         "expected to scan the whole workspace, saw only {} files",
@@ -106,8 +107,8 @@ fn every_member_inherits_the_workspace_rustc_denials() {
 #[test]
 fn parallel_lint_is_deterministic() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let serial = ppatc_lint::lint_workspace_jobs(&root, 1).expect("serial run");
-    let parallel = ppatc_lint::lint_workspace_jobs(&root, 4).expect("parallel run");
+    let serial = ppatc_lint::lint_workspace(&root, 1).expect("serial run");
+    let parallel = ppatc_lint::lint_workspace(&root, 4).expect("parallel run");
     assert_eq!(serial.files, parallel.files);
     assert_eq!(serial.suppressed, parallel.suppressed);
     let render = |r: &ppatc_lint::Report| {

@@ -24,6 +24,7 @@
 //! ```
 
 use crate::inst::{Condition, DpOp, Instruction, Reg};
+use crate::memory::PROG_SIZE;
 use std::collections::HashMap;
 
 /// Reach of the unconditional `b` T2 encoding: a signed imm11, counted in
@@ -67,7 +68,8 @@ impl std::error::Error for AsmError {}
 /// # Errors
 ///
 /// Returns an [`AsmError`] naming the offending line for syntax errors,
-/// unknown mnemonics, undefined labels, and out-of-range operands.
+/// unknown mnemonics, undefined labels, out-of-range operands, and the
+/// first item (or literal-pool entry) that ends past [`PROG_SIZE`].
 pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
     Assembler::new().assemble(source)
 }
@@ -119,8 +121,15 @@ impl Assembler {
     }
 
     fn assemble(mut self, source: &str) -> Result<Vec<u8>, AsmError> {
+        let too_large = |line: usize| {
+            AsmError::new(
+                line,
+                format!("program image exceeds program memory ({PROG_SIZE} bytes)"),
+            )
+        };
         // Pass 1: parse lines into items; item sizes are static, so label
-        // addresses are assigned in the same pass.
+        // addresses are assigned in the same pass. `addr` never passes
+        // PROG_SIZE, so the subtraction below cannot wrap.
         let mut addr: u32 = 0;
         for (idx, raw) in source.lines().enumerate() {
             let line_no = idx + 1;
@@ -140,24 +149,31 @@ impl Assembler {
                 continue;
             }
             let item = parse_statement(line_no, line)?;
-            addr += item_size(&item, addr);
+            let size = item_size(&item, addr);
+            if size > PROG_SIZE - addr {
+                return Err(too_large(line_no));
+            }
+            addr += size;
             self.items.push(item);
         }
 
         // Collect literal-pool values (deduplicated, in first-use order).
+        let pool_base = (addr + 3) & !3;
         let mut pool: Vec<ValueRef> = Vec::new();
         for item in &self.items {
             if let Item::Inst {
+                line,
                 parsed: ParsedInst::LdrPool { value, .. },
-                ..
             } = item
             {
                 if !pool.iter().any(|v| value_key(v) == value_key(value)) {
                     pool.push(value.clone());
+                    if pool_base as usize + 4 * pool.len() > PROG_SIZE as usize {
+                        return Err(too_large(*line));
+                    }
                 }
             }
         }
-        let pool_base = (addr + 3) & !3;
 
         // Pass 2: encode.
         let mut out: Vec<u8> = Vec::with_capacity((pool_base + 4 * pool.len() as u32) as usize);
@@ -1228,6 +1244,26 @@ mod tests {
         src.push_str("far: bkpt #0\n");
         let e = assemble(&src).expect_err("should fail");
         assert!(e.to_string().contains("out of range"));
+    }
+
+    #[test]
+    fn image_past_program_memory_is_an_error() {
+        let e = assemble("bkpt #0\n.space 70000").expect_err("should fail");
+        assert_eq!(e.line(), 2);
+        assert!(e.to_string().contains("program memory"));
+        // The literal pool counts too: here the items fit, but the pool
+        // entry of the `ldr` on line 2 would end 4 bytes past the limit.
+        let src = format!(".space {}\nldr r0, =0x12345678\nbkpt #0", PROG_SIZE - 6);
+        let e = assemble(&src).expect_err("should fail");
+        assert_eq!(e.line(), 2);
+    }
+
+    #[test]
+    fn image_of_exactly_program_memory_assembles_and_runs() {
+        let img = assemble(&format!("bkpt #0\n.space {}", PROG_SIZE - 2)).expect("assembles");
+        assert_eq!(img.len(), PROG_SIZE as usize);
+        let summary = crate::Cpu::new(&img).run(10).expect("halts");
+        assert_eq!(summary.halt_code, 0);
     }
 
     #[test]

@@ -84,6 +84,12 @@ pub struct Cpu {
 impl Cpu {
     /// Creates a core with the program loaded at address 0, `pc = 0`, and
     /// `sp` at the top of data memory, and decodes the program once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program_image` is longer than
+    /// [`PROG_SIZE`](crate::PROG_SIZE). Images from [`crate::asm::assemble`]
+    /// never are; an image built by hand must be checked by its caller.
     pub fn new(program_image: &[u8]) -> Self {
         let mut regs = [0u32; 16];
         regs[Reg::SP.index()] = DATA_BASE + DATA_SIZE;

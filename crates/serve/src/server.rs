@@ -82,6 +82,10 @@ const CONNECTION_LINGER: Duration = Duration::from_secs(10);
 /// How often the supervisor polls worker liveness, heartbeats and the
 /// drain token, and, once draining, re-sends the accept wake.
 const SUPERVISOR_POLL: Duration = Duration::from_millis(50);
+/// Response-cache shards.
+const CACHE_SHARDS: usize = 8;
+/// Response-cache entries per shard.
+const CACHE_CAPACITY_PER_SHARD: usize = 256;
 
 /// Server tuning knobs. `Default` suits tests and the smoke harness; the
 /// binary maps its flags onto the fields.
@@ -99,15 +103,9 @@ pub struct ServerConfig {
     /// A started frame must arrive completely within this window
     /// (slow-loris defense). Idle connections between frames are fine.
     pub frame_timeout: Duration,
-    /// Response-cache shards.
-    pub cache_shards: usize,
-    /// Response-cache entries per shard.
-    pub cache_capacity_per_shard: usize,
     /// Whether the `poison` chaos query is honored (panics the evaluator)
     /// instead of rejected as invalid.
     pub enable_poison: bool,
-    /// Maximum accepted frame payload, bytes.
-    pub max_frame_bytes: usize,
     /// Worker respawns the supervisor will perform over the server's
     /// lifetime before declaring `supervisor_gave_up`.
     pub worker_restart_budget: usize,
@@ -125,10 +123,7 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             request_deadline: Duration::from_secs(10),
             frame_timeout: Duration::from_secs(2),
-            cache_shards: 8,
-            cache_capacity_per_shard: 256,
             enable_poison: false,
-            max_frame_bytes: MAX_FRAME_BYTES,
             worker_restart_budget: 8,
             cache_journal: None,
         }
@@ -244,13 +239,13 @@ pub fn try_spawn(config: ServerConfig) -> Result<ServerHandle, std::io::Error> {
     let cache = match &config.cache_journal {
         Some(path) => {
             let (cache, recovered) =
-                try_recover_cache(path, config.cache_shards, config.cache_capacity_per_shard)
+                try_recover_cache(path, CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD)
                     .map_err(std::io::Error::other)?;
             let recovered = u64::try_from(recovered).unwrap_or(u64::MAX);
             health.cache_recovered.store(recovered, Ordering::Relaxed);
             cache
         }
-        None => ResponseCache::new(config.cache_shards, config.cache_capacity_per_shard),
+        None => ResponseCache::new(CACHE_SHARDS, CACHE_CAPACITY_PER_SHARD),
     };
     let worker_count = config.workers.max(1);
     let shared = Arc::new(Shared {
@@ -477,11 +472,11 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         match read_frame_polled(&mut stream, shared) {
             FrameOutcome::Frame(payload) => {
                 let response = process_request(&payload, shared);
-                let frame = match try_encode_frame(&response, shared.config.max_frame_bytes) {
+                let frame = match try_encode_frame(&response, MAX_FRAME_BYTES) {
                     Ok(f) => f,
                     Err(_) => match try_encode_frame(
                         &err_response("eval_failed", &[("msg", "response too large".to_string())]),
-                        shared.config.max_frame_bytes,
+                        MAX_FRAME_BYTES,
                     ) {
                         Ok(f) => f,
                         Err(_) => return,
@@ -493,17 +488,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             }
             FrameOutcome::CleanClose | FrameOutcome::Disconnected => return,
             FrameOutcome::Draining => {
-                let _ = write_error(&mut stream, shared, "draining", &[]);
+                let _ = write_error(&mut stream, "draining", &[]);
                 return;
             }
             FrameOutcome::Malformed(wire) => {
                 shared.health.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_error(
-                    &mut stream,
-                    shared,
-                    "malformed",
-                    &[("msg", wire.to_string())],
-                );
+                let _ = write_error(&mut stream, "malformed", &[("msg", wire.to_string())]);
                 return; // framing is no longer trustworthy
             }
         }
@@ -513,11 +503,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 /// Best-effort typed error write.
 fn write_error(
     stream: &mut TcpStream,
-    shared: &Arc<Shared>,
     kind: &str,
     fields: &[(&str, String)],
 ) -> Result<(), WireError> {
-    let frame = try_encode_frame(&err_response(kind, fields), shared.config.max_frame_bytes)?;
+    let frame = try_encode_frame(&err_response(kind, fields), MAX_FRAME_BYTES)?;
     stream.write_all(&frame).map_err(|e| io_error(&e))
 }
 
@@ -571,7 +560,7 @@ fn read_frame_polled(stream: &mut TcpStream, shared: &Arc<Shared>) -> FrameOutco
                 if payload_len.is_none() && buf.len() == HEADER_BYTES {
                     let mut header = [0u8; HEADER_BYTES];
                     header.copy_from_slice(&buf);
-                    match try_decode_header(&header, shared.config.max_frame_bytes) {
+                    match try_decode_header(&header, MAX_FRAME_BYTES) {
                         Ok(len) => {
                             payload_len = Some(len);
                             want = HEADER_BYTES + len;
