@@ -15,7 +15,7 @@
 //!
 //! The `paper` binary prints any exhibit (`cargo run --release -p
 //! ppatc-bench --bin paper -- table2`); perfbench (`BENCHMARK.json`) times
-//! them, and the `serve_bench` binary is the query service's chaos gate.
+//! them.
 
 #![warn(missing_docs)]
 

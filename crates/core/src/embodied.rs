@@ -44,13 +44,6 @@ impl EmbodiedPipeline {
         self
     }
 
-    /// Replaces the process model.
-    #[must_use]
-    pub fn with_model(mut self, model: EmbodiedModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Scales the final embodied carbon by `factor` — the x-axis of the
     /// Fig. 6 maps (uncertainty in C_embodied). Rejects non-positive or
     /// non-finite factors.

@@ -93,7 +93,6 @@ impl DesignSpace {
 pub struct Constraints {
     max_execution_time: Option<Time>,
     max_area: Option<Area>,
-    max_power: Option<Power>,
 }
 
 impl Constraints {
@@ -113,13 +112,6 @@ impl Constraints {
     #[must_use]
     pub fn with_max_area(mut self, a: Area) -> Self {
         self.max_area = Some(a);
-        self
-    }
-
-    /// Busy-power constraint.
-    #[must_use]
-    pub fn with_max_power(mut self, p: Power) -> Self {
-        self.max_power = Some(p);
         self
     }
 }
@@ -179,13 +171,6 @@ impl Optimizer {
     #[must_use]
     pub fn with_usage(mut self, usage: UsagePattern) -> Self {
         self.usage = usage;
-        self
-    }
-
-    /// Sets the embodied pipeline.
-    #[must_use]
-    pub fn with_embodied(mut self, embodied: EmbodiedPipeline) -> Self {
-        self.embodied = embodied;
         self
     }
 
@@ -287,11 +272,7 @@ impl Optimizer {
             .constraints
             .max_execution_time
             .is_none_or(|t| eval.execution_time <= t)
-            && self.constraints.max_area.is_none_or(|a| design.area() <= a)
-            && self
-                .constraints
-                .max_power
-                .is_none_or(|p| eval.operational_power <= p);
+            && self.constraints.max_area.is_none_or(|a| design.area() <= a);
         Some(Candidate {
             technology: tech,
             flavor,

@@ -121,11 +121,6 @@ pub fn nfet_with_population(population: CntPopulation) -> VirtualSourceModel {
     cn_model(Polarity::N, population)
 }
 
-/// A p-type VS-CNFET with an explicit CNT population.
-pub fn pfet_with_population(population: CntPopulation) -> VirtualSourceModel {
-    cn_model(Polarity::P, population)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

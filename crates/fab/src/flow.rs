@@ -66,11 +66,6 @@ impl ProcessFlow {
         &self.name
     }
 
-    /// Aggregate FEOL (+MOL) energy per wafer.
-    pub fn feol_energy(&self) -> Energy {
-        self.feol
-    }
-
     /// The ordered BEOL steps.
     pub fn steps(&self) -> &[ProcessStep] {
         &self.steps

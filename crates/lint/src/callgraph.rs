@@ -21,7 +21,7 @@
 
 use crate::ast::{Block, Expr, Stmt};
 use crate::rules::PANIC_MACROS;
-use crate::source::{SourceFile, UseItem};
+use crate::source::SourceFile;
 
 /// One call site recorded by the body walk: the path segments as written
 /// (`["Energy", "from_joules"]`, `["try_eval"]`) and whether it used
@@ -67,9 +67,6 @@ pub struct FnSummary {
     pub panics: Vec<PanicSite>,
     /// Calls this body makes, deduplicated.
     pub calls: Vec<CallRef>,
-    /// The defining file's `use` imports (resolution context; identical
-    /// for every fn of one file).
-    pub uses: Vec<UseItem>,
 }
 
 /// A PL009 finding, before it is bound to a `Rule`.
@@ -111,7 +108,6 @@ pub fn summarize(file: &SourceFile, bodies: &[(usize, Block)]) -> Vec<FnSummary>
             has_self: f.params.first().is_some_and(|p| p.name == "self"),
             panics: collector.panics,
             calls: collector.calls,
-            uses: file.uses.clone(),
         });
     }
     out

@@ -177,7 +177,11 @@ fn assemble(mut analyses: Vec<FileAnalysis>) -> Report {
     for a in &mut analyses {
         all_sums.append(&mut a.summaries);
     }
-    let table = symbols::SymbolTable::build(&all_sums);
+    let uses = analyses
+        .iter()
+        .flat_map(|a| std::iter::repeat_n(a.file.uses.as_slice(), a.bodies.len()))
+        .collect();
+    let table = symbols::SymbolTable::build(&all_sums, uses);
 
     let bodies: Vec<summaries::FnBody> = analyses
         .iter()

@@ -24,12 +24,16 @@
 //! wrong edge could manufacture findings, a missing edge only loses them.
 
 use crate::callgraph::{CallRef, FnSummary};
+use crate::source::UseItem;
 use std::collections::HashMap;
 
 /// An index over one batch of fn summaries (the whole workspace, or a
 /// single file under `lint_source`).
 pub struct SymbolTable<'a> {
     summaries: &'a [FnSummary],
+    /// The `use` imports of each summary's defining file, aligned with
+    /// `summaries`: every fn of one file shares that file's one list.
+    uses: Vec<&'a [UseItem]>,
     by_name: HashMap<&'a str, Vec<usize>>,
 }
 
@@ -58,13 +62,19 @@ fn path_matches_module(path: &str, module: &str) -> bool {
 }
 
 impl<'a> SymbolTable<'a> {
-    /// Indexes `summaries` by fn name.
-    pub fn build(summaries: &'a [FnSummary]) -> Self {
+    /// Indexes `summaries` by fn name; `uses[i]` is the `use` list of the
+    /// file defining `summaries[i]`.
+    pub fn build(summaries: &'a [FnSummary], uses: Vec<&'a [UseItem]>) -> Self {
+        debug_assert_eq!(summaries.len(), uses.len());
         let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
         for (i, s) in summaries.iter().enumerate() {
             by_name.entry(s.name.as_str()).or_default().push(i);
         }
-        Self { summaries, by_name }
+        Self {
+            summaries,
+            uses,
+            by_name,
+        }
     }
 
     fn candidates(&self, name: &str) -> &[usize] {
@@ -93,18 +103,19 @@ impl<'a> SymbolTable<'a> {
             // `x.f()`: unique self-receiver fn named `f`.
             return self.unique(name, |s| s.has_self);
         }
+        let uses = self.uses[caller];
         match call.segs.len() {
-            1 => self.resolve_bare(from, name),
-            _ => self.resolve_qualified(from, &call.segs),
+            1 => self.resolve_bare(from, uses, name),
+            _ => self.resolve_qualified(from, uses, &call.segs),
         }
     }
 
     /// `f(..)` with no qualifier.
-    fn resolve_bare(&self, from: &FnSummary, name: &str) -> Option<usize> {
+    fn resolve_bare(&self, from: &FnSummary, uses: &[UseItem], name: &str) -> Option<usize> {
         // A `use` import binding this name fixes both the target name and
         // (usually) the target crate; once an import matches, local
         // fallbacks must not fire — the name means the import.
-        if let Some(u) = from.uses.iter().find(|u| u.alias == name) {
+        if let Some(u) = uses.iter().find(|u| u.alias == name) {
             let target = u.segs.last()?;
             let crate_hint = u
                 .segs
@@ -125,7 +136,12 @@ impl<'a> SymbolTable<'a> {
     }
 
     /// `q::f(..)`, `A::B::f(..)`.
-    fn resolve_qualified(&self, from: &FnSummary, segs: &[String]) -> Option<usize> {
+    fn resolve_qualified(
+        &self,
+        from: &FnSummary,
+        uses: &[UseItem],
+        segs: &[String],
+    ) -> Option<usize> {
         let name = segs.last()?;
         let qual = &segs[segs.len() - 2];
         if qual == "Self" {
@@ -139,8 +155,7 @@ impl<'a> SymbolTable<'a> {
             let crate_hint = if segs.len() >= 3 {
                 seg_to_crate(&segs[0], &from.crate_name)
             } else {
-                from.uses
-                    .iter()
+                uses.iter()
                     .find(|u| u.alias == *qual)
                     .and_then(|u| u.segs.first())
                     .and_then(|s| seg_to_crate(s, &from.crate_name))

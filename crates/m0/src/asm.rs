@@ -177,34 +177,32 @@ impl Assembler {
 
         // Pass 2: encode.
         let mut out: Vec<u8> = Vec::with_capacity((pool_base + 4 * pool.len() as u32) as usize);
+        // Every item emits exactly the bytes pass 1 counted for it.
         let mut addr: u32 = 0;
         for item in &self.items {
+            let size = item_size(item, addr);
             match item {
                 Item::Align => {
-                    while !addr.is_multiple_of(4) {
-                        out.extend_from_slice(
-                            &Instruction::Nop.encode().halfwords()[0].to_le_bytes(),
-                        );
-                        addr += 2;
+                    // An odd address pads one zero byte, then NOPs.
+                    out.extend(std::iter::repeat_n(0u8, (size % 2) as usize));
+                    let nop = Instruction::Nop.encode().halfwords()[0].to_le_bytes();
+                    for _ in 0..size / 2 {
+                        out.extend_from_slice(&nop);
                     }
                 }
-                Item::Space { bytes } => {
-                    out.extend(std::iter::repeat_n(0u8, *bytes as usize));
-                    addr += bytes;
-                }
+                Item::Space { bytes } => out.extend(std::iter::repeat_n(0u8, *bytes as usize)),
                 Item::Word { line, value } => {
                     let v = self.resolve(*line, value)?;
                     out.extend_from_slice(&(v as u32).to_le_bytes());
-                    addr += 4;
                 }
                 Item::Inst { line, parsed } => {
                     let inst = self.finalize(*line, parsed, addr, pool_base, &pool)?;
                     for half in inst.encode().halfwords() {
                         out.extend_from_slice(&half.to_le_bytes());
                     }
-                    addr += inst.size();
                 }
             }
+            addr += size;
         }
         // Emit the literal pool (word-aligned; no padding when empty).
         while !pool.is_empty() && !out.len().is_multiple_of(4) {
@@ -529,10 +527,10 @@ fn parse_statement(line: usize, text: &str) -> Result<Item, AsmError> {
         }
         ".align" => return Ok(Item::Align),
         ".space" => {
-            let n = parse_int(rest)
-                .filter(|&n| n >= 0)
+            let bytes = parse_int(rest)
+                .and_then(|n| u32::try_from(n).ok())
                 .ok_or_else(|| err(format!("invalid .space size `{rest}`")))?;
-            return Ok(Item::Space { bytes: n as u32 });
+            return Ok(Item::Space { bytes });
         }
         _ => {}
     }
@@ -1256,6 +1254,19 @@ mod tests {
         let src = format!(".space {}\nldr r0, =0x12345678\nbkpt #0", PROG_SIZE - 6);
         let e = assemble(&src).expect_err("should fail");
         assert_eq!(e.line(), 2);
+    }
+
+    #[test]
+    fn align_at_an_odd_address_pads_to_the_next_word() {
+        let img = assemble("bkpt #0\n.space 1\n.align\nbkpt #0").expect("assembles");
+        assert_eq!(img, vec![0x00, 0xBE, 0x00, 0x00, 0x00, 0xBE]);
+    }
+
+    #[test]
+    fn space_past_u32_is_an_error() {
+        let e = assemble("bkpt #0\n.space 4294967296").expect_err("should fail");
+        assert_eq!(e.line(), 2);
+        assert!(e.to_string().contains(".space"));
     }
 
     #[test]

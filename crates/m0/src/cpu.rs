@@ -118,11 +118,6 @@ impl Cpu {
         self.regs[index as usize]
     }
 
-    /// Writes a core register (test setup / argument passing).
-    pub fn set_reg(&mut self, index: u8, value: u32) {
-        self.regs[index as usize] = value;
-    }
-
     /// Cycles consumed so far.
     pub fn cycles(&self) -> u64 {
         self.cycles
@@ -131,11 +126,6 @@ impl Cpu {
     /// The attached memory system.
     pub fn memory(&self) -> &MemorySystem {
         &self.memory
-    }
-
-    /// Mutable access to the memory system (workload input setup).
-    pub fn memory_mut(&mut self) -> &mut MemorySystem {
-        &mut self.memory
     }
 
     /// `Some(code)` once a `bkpt #code` has retired.

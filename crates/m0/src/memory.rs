@@ -77,18 +77,6 @@ pub struct AccessStats {
     pub words_written: u64,
 }
 
-impl AccessStats {
-    /// Total data-side accesses to either memory (excludes fetches).
-    pub fn total_data_accesses(&self) -> u64 {
-        self.program_reads + self.data_reads + self.data_writes
-    }
-
-    /// Total program-memory read traffic (fetches + literals).
-    pub fn program_accesses(&self) -> u64 {
-        self.instruction_fetches + self.program_reads
-    }
-}
-
 /// The two-region memory system.
 #[derive(Clone, Debug)]
 pub struct MemorySystem {
@@ -274,21 +262,6 @@ impl MemorySystem {
             self.data[off + 2],
             self.data[off + 3],
         ])
-    }
-
-    /// Untracked debug write of a data-memory word (for test setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside data memory or misaligned.
-    pub fn poke_data_u32(&mut self, addr: u32, value: u32) {
-        assert!(addr.is_multiple_of(4), "poke address must be word-aligned");
-        assert!(
-            (DATA_BASE..DATA_BASE + DATA_SIZE).contains(&addr),
-            "poke address {addr:#010x} outside data memory"
-        );
-        let off = (addr - DATA_BASE) as usize;
-        self.data[off..off + 4].copy_from_slice(&value.to_le_bytes());
     }
 }
 

@@ -10,11 +10,7 @@
 use crate::query::Query;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// How often a parked worker re-checks the drain flag while the queue is
-/// empty.
-const TAKE_POLL: Duration = Duration::from_millis(100);
+use std::time::Instant;
 
 /// One admitted unit of work, handed from a connection thread to a worker.
 #[derive(Clone, Debug)]
@@ -40,9 +36,10 @@ pub struct ResponseSlot {
     ready: Condvar,
 }
 
-/// Recovers a possibly poisoned guard (slot and queue state, and the
-/// server's live-connection count, are updated by single statements; a
-/// panicking peer cannot leave them incoherent).
+/// Recovers a possibly poisoned guard. Every mutex in the crate (slot and
+/// queue state, the server's live-connection count, the response-cache
+/// shards and the workload memo) is updated by single statements, so a
+/// panicking peer cannot leave its data incoherent.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
@@ -183,9 +180,11 @@ impl AdmissionQueue {
             if state.draining {
                 return None;
             }
-            state = match self.available.wait_timeout(state, TAKE_POLL) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
+            // `drain` sets the flag under this mutex and then notifies
+            // every waiter, so an untimed wait cannot miss it.
+            state = match self.available.wait(state) {
+                Ok(g) => g,
+                Err(poisoned) => poisoned.into_inner(),
             };
         }
     }
@@ -224,6 +223,7 @@ pub fn retry_after_ms(depth: usize, workers: usize, ema_service_micros: u64) -> 
 mod tests {
     use super::*;
     use crate::query::Query;
+    use std::time::Duration;
 
     fn job(tag: &str) -> Job {
         Job {

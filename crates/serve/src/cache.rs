@@ -26,6 +26,7 @@
 //! byte-identically — the journal stores the exact response bytes the
 //! first evaluation rendered.
 
+use crate::admission::lock_unpoisoned;
 use crate::health::ServerHealth;
 use ppatc::checkpoint::LineJournal;
 use ppatc::PpatcError;
@@ -70,16 +71,6 @@ pub struct ResponseCache {
     journal: OnceLock<LineJournal>,
 }
 
-/// Locks a shard, recovering from poisoning: a panicking cache user cannot
-/// leave the map half-updated (inserts are single statements), so the data
-/// is still coherent.
-fn lock_shard(m: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 impl ResponseCache {
     /// A cache with `shards` independently locked shards of
     /// `per_shard_capacity` entries each. Both are clamped to at least 1.
@@ -99,7 +90,7 @@ impl ResponseCache {
 
     /// Looks up `key`, recording the hit or miss in `health`.
     pub fn get(&self, key: &str, health: &ServerHealth) -> Option<String> {
-        let found = lock_shard(self.shard(key)).map.get(key).cloned();
+        let found = lock_unpoisoned(self.shard(key)).map.get(key).cloned();
         if found.is_some() {
             health.cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -130,7 +121,7 @@ impl ResponseCache {
     /// The in-memory half of [`ResponseCache::insert`]: updates the shard
     /// and its FIFO order, returning whether `key` was new.
     fn insert_in_memory(&self, key: &str, response: &str) -> bool {
-        let mut shard = lock_shard(self.shard(key));
+        let mut shard = lock_unpoisoned(self.shard(key));
         if shard
             .map
             .insert(key.to_string(), response.to_string())
@@ -155,7 +146,7 @@ impl ResponseCache {
     pub fn entries_in_order(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = lock_shard(shard);
+            let shard = lock_unpoisoned(shard);
             for key in &shard.order {
                 if let Some(value) = shard.map.get(key) {
                     out.push((key.clone(), value.clone()));
@@ -167,7 +158,10 @@ impl ResponseCache {
 
     /// Total live entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).map.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| lock_unpoisoned(s).map.len())
+            .sum()
     }
 
     /// Whether the cache holds no entries.

@@ -23,6 +23,7 @@
 //! [`PpatcError::Interrupted`] with partial-progress counts instead of
 //! pinning a worker.
 
+use crate::admission::lock_unpoisoned;
 use ppatc::montecarlo::{self, MonteCarloConfig, UncertaintyRanges};
 use ppatc::{
     CaseStudy, EmbodiedPipeline, Lifetime, PpatcError, RunBudget, Supervisor, SystemDesign,
@@ -427,15 +428,6 @@ pub fn canonical_key(query: &Query) -> String {
 /// Looks a workload up by its suite name.
 fn workload_by_name(name: &str) -> Option<Workload> {
     Workload::suite().into_iter().find(|w| w.name() == name)
-}
-
-/// Recovers a possibly poisoned mutex guard (map inserts are single
-/// statements; a panicking sibling cannot leave the map incoherent).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// Executes a workload once per process and memoizes the run — the serve

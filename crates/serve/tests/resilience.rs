@@ -6,6 +6,7 @@ use ppatc_serve::fault::{FaultPlan, FaultSpec};
 use ppatc_serve::resilient::{ResilientClient, RetryPolicy};
 use ppatc_serve::server::{try_spawn, ServerConfig, ServerHandle};
 use ppatc_serve::ServeClient;
+use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -139,6 +140,7 @@ fn supervisor_gives_up_past_the_restart_budget() {
 fn fault_injected_transport_still_gets_every_request_answered() {
     let handle = spawn(ServerConfig {
         workers: 2,
+        enable_poison: true,
         ..ServerConfig::default()
     });
     let spec = FaultSpec {
@@ -154,8 +156,15 @@ fn fault_injected_transport_still_gets_every_request_answered() {
     let mut client = ResilientClient::new(handle.addr().to_string(), chaos_policy)
         .with_fault_plan(FaultPlan::new(spec));
     let queries = ["ping", "eval capacity_kb=16", "eval capacity_kb=32", "ping"];
+    // Rounds 1, 5 and 9 send `kill_worker` in place of their pings: six
+    // kills, within the default restart budget of eight.
     for round in 0..10 {
         for q in &queries {
+            let q = if *q == "ping" && round % 4 == 1 {
+                "kill_worker"
+            } else {
+                q
+            };
             let resp = client
                 .try_request(q)
                 .unwrap_or_else(|e| panic!("round {round} query {q} unanswered: {e}"));
@@ -172,6 +181,14 @@ fn fault_injected_transport_still_gets_every_request_answered() {
     assert_eq!(stats.requests, 40);
     let report = handle.drain();
     assert_eq!(report.connections_panicked, 0, "chaos stayed typed");
+    assert!(
+        report.worker_restarts >= 1,
+        "killed workers respawned: {report:?}"
+    );
+    assert!(
+        !report.supervisor_gave_up,
+        "six kills fit the budget: {report:?}"
+    );
 }
 
 #[test]
@@ -203,6 +220,14 @@ fn cache_journal_survives_kill_and_restart_byte_identically() {
         report.cache_journal_failures, 0,
         "write-through stayed clean"
     );
+    // Tear the final line, as a kill mid-append would: recovery must skip
+    // exactly this tail.
+    let mut journal = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .expect("journal exists");
+    write!(journal, "e 5 7 68656").expect("torn tail");
+    drop(journal);
 
     // Restart on the same journal.
     let handle = spawn(config);

@@ -4,6 +4,7 @@
 use ppatc_serve::client::ServeClient;
 use ppatc_serve::protocol::{MAGIC, MAX_FRAME_BYTES};
 use ppatc_serve::server::{try_spawn, ServerConfig, ServerHandle};
+use ppatc_serve::HealthSnapshot;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -16,6 +17,16 @@ fn spawn(config: ServerConfig) -> ServerHandle {
 
 fn connect(handle: &ServerHandle) -> ServeClient {
     ServeClient::try_connect(handle.addr(), CLIENT_TIMEOUT).expect("client connects")
+}
+
+/// Joins `handle` on another thread, failing the test (instead of hanging
+/// it) if `join` has not returned within `limit`.
+fn join_within(handle: ServerHandle, limit: Duration) -> HealthSnapshot {
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(handle.join());
+    });
+    joined.recv_timeout(limit).expect("join returns in time")
 }
 
 #[test]
@@ -46,6 +57,7 @@ fn ping_health_and_eval_round_trip() {
 fn repeated_queries_are_byte_identical_at_any_concurrency() {
     let handle = spawn(ServerConfig {
         workers: 4,
+        enable_poison: true,
         ..ServerConfig::default()
     });
     let queries = [
@@ -60,6 +72,8 @@ fn repeated_queries_are_byte_identical_at_any_concurrency() {
         reference.push(client.try_request_raw(q).expect("reference answers"));
     }
     // Storm: 8 clients × 5 rounds, interleaved, all must match exactly.
+    // Each round also sends one poison query, whose panic must stay
+    // inside its worker.
     std::thread::scope(|scope| {
         for _ in 0..8 {
             let handle = &handle;
@@ -71,12 +85,15 @@ fn repeated_queries_are_byte_identical_at_any_concurrency() {
                         let got = client.try_request_raw(q).expect("storm answers");
                         assert_eq!(got, reference[i], "query {q} must be byte-identical");
                     }
+                    let poisoned = client.try_request("poison").expect("typed panic answer");
+                    assert_eq!(poisoned.kind, "panic", "{poisoned:?}");
                 }
             });
         }
     });
     let report = handle.drain();
-    assert_eq!(report.panicked, 0);
+    assert_eq!(report.panicked, 40, "{report:?}");
+    assert_eq!(report.connections_panicked, 0, "{report:?}");
     assert!(report.cache_hits > 0, "the storm must hit the cache");
 }
 
@@ -217,6 +234,10 @@ fn overload_sheds_with_a_retry_hint_instead_of_queueing() {
         }
     });
     let report = handle.drain();
+    assert!(
+        report.shed > 0,
+        "the burst must overflow the queue: {report:?}"
+    );
     assert_eq!(
         shed_seen.load(std::sync::atomic::Ordering::Relaxed) as u64,
         report.shed,
@@ -323,6 +344,68 @@ fn drain_query_stops_the_server_gracefully() {
     assert_eq!(report.connections_panicked, 0);
 }
 
+#[test]
+fn drain_under_load_winds_every_client_down() {
+    let handle = spawn(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    // Warm every pool query, so after the drain only the connection
+    // threads can refuse them: cached answers never reach admission.
+    let pool = [
+        "ping",
+        "eval capacity_kb=16",
+        "mc samples=64 seed=5 capacity_kb=16",
+    ];
+    let mut warm = connect(&handle);
+    for q in &pool {
+        let resp = warm.try_request(q).expect("warm-up answers");
+        assert!(resp.ok, "{q}: {}", resp.body);
+    }
+    drop(warm);
+    let clients: Vec<ServeClient> = (0..4).map(|_| connect(&handle)).collect();
+    let token = handle.cancel_token();
+    // Each client hammers the pool until it is refused or cut off (`None`),
+    // and gives up after 10 s so a missed drain fails instead of hanging.
+    let endings: Vec<Option<String>> = std::thread::scope(|scope| {
+        let running: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(id, mut client)| {
+                scope.spawn(move || {
+                    let give_up = Instant::now() + Duration::from_secs(10);
+                    for q in pool.iter().cycle().skip(id) {
+                        match client.try_request_raw(q) {
+                            Ok(payload)
+                                if payload.starts_with("ok") && Instant::now() < give_up => {}
+                            Ok(payload) => return Some(payload),
+                            Err(_) => return None,
+                        }
+                    }
+                    unreachable!("the pool cycles forever")
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        token.cancel();
+        running
+            .into_iter()
+            .map(|client| client.join().expect("client thread finishes"))
+            .collect()
+    });
+    for ending in &endings {
+        assert!(
+            ending
+                .as_deref()
+                .is_none_or(|p| p.starts_with("err draining")),
+            "a client ended on {ending:?}"
+        );
+    }
+    let report = join_within(handle, Duration::from_secs(30));
+    assert!(report.draining, "{report:?}");
+    assert_eq!(report.connections_panicked, 0, "{report:?}");
+}
+
 /// The in-process stand-in for SIGTERM: a server bound to `addr` that
 /// never got a connection has a clone of its drain token cancelled from
 /// another thread. `join`, which cancels nothing itself, must return with
@@ -336,13 +419,7 @@ fn token_clone_cancel_drains_an_idle_server(addr: &str) {
     std::thread::spawn(move || token.cancel())
         .join()
         .expect("the cancelling thread runs");
-    let (done, joined) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = done.send(handle.join());
-    });
-    let report = joined
-        .recv_timeout(Duration::from_secs(10))
-        .expect("join returns after a token clone is cancelled");
+    let report = join_within(handle, Duration::from_secs(10));
     assert!(report.draining, "{report:?}");
     assert_eq!(report.connections_opened, 0, "{report:?}");
 }

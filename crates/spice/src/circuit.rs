@@ -233,11 +233,6 @@ impl Circuit {
         self.node_names.len()
     }
 
-    /// Number of elements.
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
-    }
-
     fn push(&mut self, name: &str, e: Element) -> ElementId {
         self.elements.push(e);
         self.element_names.push(name.to_string());
