@@ -23,6 +23,7 @@
 
 use ppatc::{PpatcError, RunBudget, Supervisor};
 use ppatc_serve::cli;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -119,8 +120,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("{output}");
-    ExitCode::SUCCESS
+    match writeln!(std::io::stdout().lock(), "{output}") {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that stops early (`paper all | head`) ends the run;
+        // that is not a failure.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Reports a supervised-exhibit failure: an interrupt gets the dedicated

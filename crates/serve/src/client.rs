@@ -1,5 +1,5 @@
-//! A minimal blocking client for the serve protocol — used by the load
-//! harness, the integration tests, and scripts.
+//! A minimal blocking client for the serve protocol — used by the
+//! integration tests and perfbench's serve workload.
 
 use crate::protocol::{
     io_error, parse_response, try_encode_frame, try_read_frame, ParsedResponse, WireError,
@@ -21,8 +21,7 @@ impl ServeClient {
     /// and the per-request read/write budget. Kept for callers whose
     /// requests are as fast as their connects; long-running ops (`mc`
     /// with many samples) should use [`ServeClient::try_connect_split`]
-    /// or [`ServeClient::set_request_timeout`] so a slow *response* is
-    /// not misread as a dead connection.
+    /// so a slow *response* is not misread as a dead connection.
     ///
     /// # Errors
     ///
@@ -58,14 +57,9 @@ impl ServeClient {
         Ok(client)
     }
 
-    /// Rebudgets the per-request read/write timeout on the live
-    /// connection (`None` = block indefinitely). Retry layers call this
-    /// per request to derive the socket budget from the op's deadline.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Io`] when the socket refuses the timeout.
-    pub fn set_request_timeout(&mut self, timeout: Option<Duration>) -> Result<(), WireError> {
+    /// Sets the per-request read/write timeout on the live connection
+    /// (`None` = block indefinitely).
+    fn set_request_timeout(&mut self, timeout: Option<Duration>) -> Result<(), WireError> {
         self.stream
             .set_read_timeout(timeout)
             .map_err(|e| io_error(&e))?;
@@ -97,11 +91,5 @@ impl ServeClient {
             Some(payload) => Ok(payload),
             None => Err(WireError::Truncated { got: 0, want: 8 }),
         }
-    }
-
-    /// The underlying stream (for chaos tests that need partial writes or
-    /// abrupt shutdowns).
-    pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
     }
 }

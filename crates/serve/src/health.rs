@@ -256,17 +256,26 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_render_and_parse() {
+        // Every counter gets its own nonzero value, so a key that `render`
+        // or `parse` swaps or drops changes the parsed snapshot.
         let health = ServerHealth::new();
         health.served.store(41, Ordering::Relaxed);
         health.shed.store(7, Ordering::Relaxed);
         health.panicked.store(2, Ordering::Relaxed);
+        health.deadline_expired.store(8, Ordering::Relaxed);
+        health.malformed.store(9, Ordering::Relaxed);
+        health.invalid.store(11, Ordering::Relaxed);
+        health.eval_failed.store(13, Ordering::Relaxed);
+        health.drained.store(14, Ordering::Relaxed);
+        health.connections_opened.store(15, Ordering::Relaxed);
+        health.connections_panicked.store(16, Ordering::Relaxed);
         health.cache_hits.store(30, Ordering::Relaxed);
         health.cache_misses.store(10, Ordering::Relaxed);
         health.queue_depth.store(3, Ordering::Relaxed);
         health.draining.store(1, Ordering::Relaxed);
         health.worker_restarts.store(4, Ordering::Relaxed);
         health.supervisor_gave_up.store(1, Ordering::Relaxed);
-        health.worker_stalls.store(1, Ordering::Relaxed);
+        health.worker_stalls.store(17, Ordering::Relaxed);
         health.conn_setup_failed.store(5, Ordering::Relaxed);
         health.cache_recovered.store(12, Ordering::Relaxed);
         health.cache_journal_failures.store(6, Ordering::Relaxed);

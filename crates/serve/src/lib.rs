@@ -24,13 +24,7 @@
 //! - [`server`] — accept loop, per-connection and per-request
 //!   `catch_unwind` isolation rings, the worker pool, and graceful drain.
 //! - [`signal`] — SIGTERM/SIGINT → drain-token bridging.
-//! - [`client`] — a minimal blocking client for tests and the load
-//!   harness.
-//! - [`resilient`] — the recovery half of the client: seeded backoff with
-//!   jitter honoring `retry_after_ms`, reconnect-and-replay, a circuit
-//!   breaker, and a retry budget (see `DESIGN.md` §13).
-//! - [`fault`] — deterministic seeded transport fault injection for the
-//!   chaos harness.
+//! - [`client`] — a minimal blocking client for the tests and perfbench.
 //! - [`cli`] — flag parsers shared with `ppatc-bench`'s binaries so the
 //!   front ends cannot drift.
 
@@ -40,18 +34,14 @@ pub mod admission;
 pub mod cache;
 pub mod cli;
 pub mod client;
-pub mod fault;
 pub mod health;
 pub mod protocol;
 pub mod query;
-pub mod resilient;
 pub mod server;
 pub mod signal;
 
 pub use client::ServeClient;
-pub use fault::{FaultAction, FaultCounts, FaultPlan, FaultSpec};
 pub use health::{HealthSnapshot, ServerHealth};
 pub use protocol::{ParsedResponse, WireError};
 pub use query::{EvalParams, Query, QueryError, Request};
-pub use resilient::{ResilientClient, ResilientError, RetryPolicy, RetryStats};
 pub use server::{try_spawn, ServerConfig, ServerHandle};

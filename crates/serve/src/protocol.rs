@@ -203,7 +203,7 @@ fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<ReadOutc
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 // A socket read timeout (client request deadline), typed
-                // so retry layers can tell it from a torn connection.
+                // so a caller can tell it from a torn connection.
                 return Err(WireError::Timeout);
             }
             Err(e) => return Err(io_error(&e)),

@@ -87,8 +87,8 @@ const CACHE_SHARDS: usize = 8;
 /// Response-cache entries per shard.
 const CACHE_CAPACITY_PER_SHARD: usize = 256;
 
-/// Server tuning knobs. `Default` suits tests and the smoke harness; the
-/// binary maps its flags onto the fields.
+/// Server tuning knobs. `Default` suits tests and perfbench; the binary
+/// maps its flags onto the fields.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` (port 0 = OS-assigned).
@@ -103,8 +103,9 @@ pub struct ServerConfig {
     /// A started frame must arrive completely within this window
     /// (slow-loris defense). Idle connections between frames are fine.
     pub frame_timeout: Duration,
-    /// Whether the `poison` chaos query is honored (panics the evaluator)
-    /// instead of rejected as invalid.
+    /// Whether the two chaos queries are honored instead of rejected as
+    /// invalid: `poison` (panics the evaluator) and `kill_worker` (ends
+    /// the worker thread that takes it, for the supervisor to respawn).
     pub enable_poison: bool,
     /// Worker respawns the supervisor will perform over the server's
     /// lifetime before declaring `supervisor_gave_up`.

@@ -1,12 +1,12 @@
-//! End-to-end tests of the recovery half of the serve stack: the
-//! retry/backoff client against a live server, worker-kill supervision,
-//! fault-injected transport, and crash-safe cache recovery.
+//! End-to-end tests of the recovery half of the serve stack: worker-kill
+//! supervision under transport chaos, the restart budget, and crash-safe
+//! cache recovery.
 
-use ppatc_serve::fault::{FaultPlan, FaultSpec};
-use ppatc_serve::resilient::{ResilientClient, RetryPolicy};
+use ppatc_serve::protocol::{try_encode_frame, try_read_frame, MAGIC, MAX_FRAME_BYTES};
 use ppatc_serve::server::{try_spawn, ServerConfig, ServerHandle};
-use ppatc_serve::ServeClient;
+use ppatc_serve::{HealthSnapshot, ServeClient};
 use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -16,18 +16,8 @@ fn spawn(config: ServerConfig) -> ServerHandle {
     try_spawn(config).expect("server binds on an ephemeral port")
 }
 
-fn policy(seed: u64) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 8,
-        base_backoff: Duration::from_millis(2),
-        max_backoff: Duration::from_millis(50),
-        retry_budget: 10_000,
-        circuit_failure_threshold: 50,
-        circuit_cooldown: Duration::from_millis(100),
-        connect_timeout: Duration::from_secs(5),
-        request_timeout: Some(CLIENT_TIMEOUT),
-        seed,
-    }
+fn connect(handle: &ServerHandle) -> ServeClient {
+    ServeClient::try_connect(handle.addr(), CLIENT_TIMEOUT).expect("client connects")
 }
 
 fn journal_path(name: &str) -> PathBuf {
@@ -41,8 +31,8 @@ fn journal_path(name: &str) -> PathBuf {
 fn wait_for_health(
     handle: &ServerHandle,
     timeout: Duration,
-    pred: impl Fn(&ppatc_serve::HealthSnapshot) -> bool,
-) -> ppatc_serve::HealthSnapshot {
+    pred: impl Fn(&HealthSnapshot) -> bool,
+) -> HealthSnapshot {
     let deadline = Instant::now() + timeout;
     loop {
         let snap = handle.health();
@@ -53,54 +43,82 @@ fn wait_for_health(
     }
 }
 
-#[test]
-fn resilient_client_round_trips_against_a_live_server() {
-    let handle = spawn(ServerConfig::default());
-    let mut client = ResilientClient::new(handle.addr().to_string(), policy(1));
-    let pong = client.try_request("ping").expect("ping answers");
-    assert!(pong.ok);
-    assert_eq!(pong.body, "pong");
-    let eval = client
-        .try_request("eval capacity_kb=16")
-        .expect("eval answers");
-    assert!(eval.ok, "{}", eval.body);
-    // Typed server refusals surface as Ok, not errors.
-    let bad = client
-        .try_request("eval capacity_kb=7")
-        .expect("typed refusal");
-    assert!(!bad.ok);
-    assert_eq!(bad.kind, "invalid");
-    assert_eq!(client.stats().requests, 3);
-    assert_eq!(client.stats().wire_replays, 0);
-    handle.drain();
+/// Opens a connection, writes three bytes of a frame header and hangs up:
+/// the tear a connection dropped mid-frame leaves.
+fn send_torn_header(handle: &ServerHandle) {
+    let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+    stream.write_all(&MAGIC[..3]).expect("writes");
+}
+
+/// Sends a `ping` frame whose magic was damaged in flight on a connection
+/// of its own (the server closes it after answering) and returns the
+/// answer.
+fn send_corrupt_magic(handle: &ServerHandle) -> String {
+    let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(CLIENT_TIMEOUT))
+        .expect("timeout");
+    let mut frame = try_encode_frame("ping", MAX_FRAME_BYTES).expect("encodes");
+    frame[0] ^= 0x55;
+    stream.write_all(&frame).expect("writes");
+    match try_read_frame(&mut stream, MAX_FRAME_BYTES) {
+        Ok(Some(payload)) => payload,
+        other => panic!("expected an answer to the corrupt frame, got {other:?}"),
+    }
 }
 
 #[test]
-fn killed_workers_are_respawned_and_service_continues() {
+fn killed_workers_are_respawned_under_transport_chaos() {
     let handle = spawn(ServerConfig {
         workers: 2,
         enable_poison: true,
         ..ServerConfig::default()
     });
-    let mut client = ResilientClient::new(handle.addr().to_string(), policy(2));
-
-    let killed = client
-        .try_request("kill_worker")
-        .expect("kill answers first");
-    assert!(killed.ok, "{}", killed.body);
-    assert_eq!(killed.body, "worker_killed");
-
-    let snap = wait_for_health(&handle, Duration::from_secs(10), |s| s.worker_restarts >= 1);
-    assert!(snap.worker_restarts >= 1, "supervisor respawned: {snap:?}");
-    assert!(!snap.supervisor_gave_up, "budget not exhausted: {snap:?}");
-
-    // The respawned pool still evaluates.
-    let eval = client
-        .try_request("eval capacity_kb=16")
-        .expect("eval after respawn");
-    assert!(eval.ok, "{}", eval.body);
+    let mut client = connect(&handle);
+    let queries = ["ping", "eval capacity_kb=16", "eval capacity_kb=32", "ping"];
+    // Rounds 1, 5 and 9 send `kill_worker` in place of their pings: six
+    // kills, within the default restart budget of eight. Every round also
+    // tears one frame header and corrupts one frame's magic, each on a
+    // connection of its own.
+    for round in 0..10 {
+        send_torn_header(&handle);
+        for (i, q) in queries.iter().enumerate() {
+            let q = if *q == "ping" && round % 4 == 1 {
+                "kill_worker"
+            } else {
+                q
+            };
+            let resp = client
+                .try_request(q)
+                .unwrap_or_else(|e| panic!("round {round} query {q} unanswered: {e}"));
+            assert!(resp.ok, "round {round} query {q}: {}", resp.body);
+            if q == "kill_worker" {
+                assert_eq!(resp.body, "worker_killed");
+            }
+            if i == 1 {
+                let answer = send_corrupt_magic(&handle);
+                assert!(answer.starts_with("err malformed"), "{answer}");
+            }
+        }
+    }
+    let snap = wait_for_health(&handle, Duration::from_secs(10), |s| s.worker_restarts >= 6);
+    assert_eq!(snap.worker_restarts, 6, "every kill respawned: {snap:?}");
+    // The respawned pool still evaluates a point no earlier round cached.
+    let fresh = client
+        .try_request("eval capacity_kb=24")
+        .expect("eval after the respawns");
+    assert!(fresh.ok, "{}", fresh.body);
     let report = handle.drain();
-    assert!(report.worker_restarts >= 1);
+    assert_eq!(report.connections_panicked, 0, "chaos stayed typed");
+    assert!(
+        report.malformed >= 10,
+        "every corrupt frame counted: {report:?}"
+    );
+    assert_eq!(report.worker_restarts, 6, "{report:?}");
+    assert!(
+        !report.supervisor_gave_up,
+        "six kills fit the budget: {report:?}"
+    );
 }
 
 #[test]
@@ -111,7 +129,7 @@ fn supervisor_gives_up_past_the_restart_budget() {
         worker_restart_budget: 1,
         ..ServerConfig::default()
     });
-    let mut client = ResilientClient::new(handle.addr().to_string(), policy(3));
+    let mut client = connect(&handle);
 
     // First kill: consumed by the budget, respawned.
     let first = client
@@ -137,61 +155,6 @@ fn supervisor_gives_up_past_the_restart_budget() {
 }
 
 #[test]
-fn fault_injected_transport_still_gets_every_request_answered() {
-    let handle = spawn(ServerConfig {
-        workers: 2,
-        enable_poison: true,
-        ..ServerConfig::default()
-    });
-    let spec = FaultSpec {
-        seed: 77,
-        disconnect_per_mille: 100,
-        corrupt_per_mille: 100,
-        truncate_per_mille: 100,
-        delay_per_mille: 100,
-        max_delay_ms: 3,
-    };
-    let mut chaos_policy = policy(4);
-    chaos_policy.max_attempts = 16;
-    let mut client = ResilientClient::new(handle.addr().to_string(), chaos_policy)
-        .with_fault_plan(FaultPlan::new(spec));
-    let queries = ["ping", "eval capacity_kb=16", "eval capacity_kb=32", "ping"];
-    // Rounds 1, 5 and 9 send `kill_worker` in place of their pings: six
-    // kills, within the default restart budget of eight.
-    for round in 0..10 {
-        for q in &queries {
-            let q = if *q == "ping" && round % 4 == 1 {
-                "kill_worker"
-            } else {
-                q
-            };
-            let resp = client
-                .try_request(q)
-                .unwrap_or_else(|e| panic!("round {round} query {q} unanswered: {e}"));
-            assert!(resp.ok, "round {round} query {q}: {}", resp.body);
-        }
-    }
-    let counts = client.fault_counts();
-    assert!(
-        counts.disconnects + counts.corrupted + counts.truncated > 0,
-        "the plan must actually have injected faults: {counts:?}"
-    );
-    let stats = client.stats();
-    assert!(stats.wire_replays > 0, "replays happened: {stats:?}");
-    assert_eq!(stats.requests, 40);
-    let report = handle.drain();
-    assert_eq!(report.connections_panicked, 0, "chaos stayed typed");
-    assert!(
-        report.worker_restarts >= 1,
-        "killed workers respawned: {report:?}"
-    );
-    assert!(
-        !report.supervisor_gave_up,
-        "six kills fit the budget: {report:?}"
-    );
-}
-
-#[test]
 fn cache_journal_survives_kill_and_restart_byte_identically() {
     let path = journal_path("restart");
     let _ = std::fs::remove_file(&path);
@@ -206,7 +169,7 @@ fn cache_journal_survives_kill_and_restart_byte_identically() {
         ..ServerConfig::default()
     };
     let handle = spawn(config.clone());
-    let mut client = ServeClient::try_connect(handle.addr(), CLIENT_TIMEOUT).expect("connects");
+    let mut client = connect(&handle);
     let mut reference = Vec::new();
     for q in &queries {
         reference.push(client.try_request_raw(q).expect("warm-up answers"));
@@ -236,7 +199,7 @@ fn cache_journal_survives_kill_and_restart_byte_identically() {
         recovered.cache_recovered >= queries.len() as u64,
         "recovered entries: {recovered:?}"
     );
-    let mut client = ServeClient::try_connect(handle.addr(), CLIENT_TIMEOUT).expect("reconnects");
+    let mut client = connect(&handle);
     for (q, want) in queries.iter().zip(&reference) {
         let got = client.try_request_raw(q).expect("post-restart answers");
         assert_eq!(&got, want, "query {q} must be byte-identical after restart");
@@ -247,47 +210,4 @@ fn cache_journal_survives_kill_and_restart_byte_identically() {
         "post-restart answers came from the warm cache: {report:?}"
     );
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn overload_sheds_are_retried_until_answered() {
-    let handle = spawn(ServerConfig {
-        workers: 1,
-        queue_capacity: 1,
-        ..ServerConfig::default()
-    });
-    // A storm of distinct (uncached) mc queries through resilient
-    // clients: every one must end answered, with the shed/retry loop
-    // absorbing the contention.
-    std::thread::scope(|scope| {
-        for t in 0..4u64 {
-            let addr = handle.addr().to_string();
-            scope.spawn(move || {
-                let mut client = ResilientClient::new(addr, policy(100 + t));
-                for i in 0..3 {
-                    let q = format!("mc samples=64 seed={} capacity_kb=16", t * 10 + i);
-                    let resp = client
-                        .try_request(&q)
-                        .unwrap_or_else(|e| panic!("query {q} unanswered: {e}"));
-                    // `ok` or a typed shed that outlived the per-request
-                    // attempts — both are authoritative answers.
-                    assert!(resp.ok || resp.kind == "overloaded", "{q}: {}", resp.body);
-                }
-            });
-        }
-    });
-    let report = handle.drain();
-    assert_eq!(report.connections_panicked, 0);
-}
-
-#[test]
-fn chaos_queries_are_rejected_without_enable_poison() {
-    let handle = spawn(ServerConfig::default());
-    let mut client = ResilientClient::new(handle.addr().to_string(), policy(5));
-    let resp = client.try_request("kill_worker").expect("typed rejection");
-    assert!(!resp.ok);
-    assert_eq!(resp.kind, "invalid");
-    let snap = handle.drain();
-    assert_eq!(snap.worker_restarts, 0);
-    assert_eq!(snap.invalid, 1);
 }

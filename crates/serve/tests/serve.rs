@@ -247,6 +247,7 @@ fn overload_sheds_with_a_retry_hint_instead_of_queueing() {
         report.shed + report.served >= 8,
         "every request got a typed outcome: {report:?}"
     );
+    assert_eq!(report.connections_panicked, 0, "{report:?}");
 }
 
 #[test]
@@ -315,14 +316,18 @@ fn poison_queries_panic_in_isolation_and_service_continues() {
 }
 
 #[test]
-fn poison_is_rejected_as_invalid_when_disabled() {
+fn poison_and_kill_worker_are_rejected_as_invalid_when_disabled() {
     let handle = spawn(ServerConfig::default());
     let mut client = connect(&handle);
-    let resp = client.try_request("poison").expect("typed answer");
-    assert!(!resp.ok);
-    assert_eq!(resp.kind, "invalid");
+    for q in ["poison", "kill_worker"] {
+        let resp = client.try_request(q).expect("typed answer");
+        assert!(!resp.ok, "{q}: {resp:?}");
+        assert_eq!(resp.kind, "invalid", "{q}");
+    }
     let report = handle.drain();
-    assert_eq!(report.panicked, 0);
+    assert_eq!(report.panicked, 0, "{report:?}");
+    assert_eq!(report.invalid, 2, "{report:?}");
+    assert_eq!(report.worker_restarts, 0, "{report:?}");
 }
 
 #[test]

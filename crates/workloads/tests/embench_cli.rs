@@ -1,6 +1,7 @@
-//! The `embench` binary's handling of an out-of-range `--reps`.
+//! The `embench` binary's handling of an out-of-range `--reps` and of a
+//! stdout that closes early.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 #[test]
 fn out_of_range_reps_print_the_error_and_exit_1() {
@@ -28,4 +29,21 @@ fn out_of_range_reps_print_the_error_and_exit_1() {
         }
     }
     assert!(!std::path::Path::new(vcd).exists());
+}
+
+#[test]
+fn a_reader_that_stops_early_ends_the_run_without_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_embench"))
+        .arg("all")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("embench starts");
+    // Close the read end before the first kernel finishes, as
+    // `embench all | head -1` does once it has its line.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("embench exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
