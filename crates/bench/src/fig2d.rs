@@ -22,7 +22,7 @@ pub struct AreaRow {
 /// Computes the breakdown.
 pub fn rows() -> Vec<AreaRow> {
     let db = StepEnergies::calibrated_7nm();
-    let steps = metal_via_pair_steps("M1", Lithography::EuvSingle);
+    let steps = metal_via_pair_steps(Lithography::EuvSingle);
     area_breakdown(&steps, &db)
         .into_iter()
         .map(|(area, steps, total)| {

@@ -89,8 +89,12 @@ impl EmbodiedModel {
 
     /// GPA of a flow via Eq. 3: the iN7 value scaled by the EPA ratio.
     pub fn gpa(&self, flow: &ProcessFlow) -> CarbonArea {
-        let ratio = self.epa(flow) / self.epa_reference;
-        self.gpa_reference * ratio
+        self.gpa_for_epa(self.epa(flow))
+    }
+
+    /// Eq. 3 for an EPA already summed.
+    fn gpa_for_epa(&self, epa: Energy) -> CarbonArea {
+        self.gpa_reference * (epa / self.epa_reference)
     }
 
     /// MPA for a technology (substrate + emerging-material additions).
@@ -125,7 +129,7 @@ impl EmbodiedModel {
             grid: fab_grid,
             wafer_area: area,
             materials: self.mpa(technology) * area,
-            gases: self.gpa(flow) * area,
+            gases: self.gpa_for_epa(epa) * area,
             fab_electricity: fab_grid.ci() * epa_f,
             epa,
         }

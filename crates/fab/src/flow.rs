@@ -48,7 +48,7 @@ impl ProcessFlow {
         for element in stack {
             match element {
                 StackElement::Metal(m) => {
-                    steps.extend(metal_via_pair_steps(m.name(), m.lithography()));
+                    steps.extend(metal_via_pair_steps(m.lithography()));
                 }
                 StackElement::DeviceTier(TierKind::Cnfet) => steps.extend(cnfet_tier_steps()),
                 StackElement::DeviceTier(TierKind::Igzo) => steps.extend(igzo_tier_steps()),
@@ -121,183 +121,162 @@ pub fn area_breakdown(
         .collect()
 }
 
-/// The step sequence for one metal/via routing pair at the given patterning
-/// class (dual-damascene: via then trench, barrier/plate/CMP).
-pub fn metal_via_pair_steps(layer: &str, litho: Lithography) -> Vec<ProcessStep> {
-    let mut s = Vec::new();
-    let dep = |label: String| ProcessStep::new(ProcessArea::Deposition, label);
-    let dry = |label: String| ProcessStep::new(ProcessArea::DryEtch, label);
-    let wet = |label: String| ProcessStep::new(ProcessArea::WetEtch, label);
-    let metz = |label: String| ProcessStep::new(ProcessArea::Metallization, label);
-    let met = |label: String| ProcessStep::new(ProcessArea::Metrology, label);
+/// The step sequence of one metal/via routing pair at the given patterning
+/// class (dual-damascene: via then trench, barrier/plate/CMP). Every pair of
+/// one class runs the same steps, whichever layer it builds, so the labels
+/// name the step (`"via etch"`), not the layer.
+pub fn metal_via_pair_steps(litho: Lithography) -> Vec<ProcessStep> {
+    let dep = |label| ProcessStep::new(ProcessArea::Deposition, label);
+    let dry = |label| ProcessStep::new(ProcessArea::DryEtch, label);
+    let wet = |label| ProcessStep::new(ProcessArea::WetEtch, label);
+    let metz = |label| ProcessStep::new(ProcessArea::Metallization, label);
+    let met = |label| ProcessStep::new(ProcessArea::Metrology, label);
+    let euv = |label| ProcessStep::litho(LithoTool::Euv, label);
+    let imm = |label| ProcessStep::litho(LithoTool::Immersion, label);
     match litho {
-        Lithography::EuvSingle => {
-            // Single EUV print each for via and trench.
-            s.push(dep(format!("{layer} ILD deposition")));
-            s.push(ProcessStep::litho(
-                LithoTool::Euv,
-                format!("{layer} via EUV exposure"),
-            ));
-            s.push(dry(format!("{layer} via etch")));
-            s.push(dep(format!("{layer} trench hard mask")));
-            s.push(ProcessStep::litho(
-                LithoTool::Euv,
-                format!("{layer} trench EUV exposure"),
-            ));
-            s.push(dry(format!("{layer} trench etch")));
-            s.push(dry(format!("{layer} hard-mask strip")));
-            s.push(wet(format!("{layer} post-etch clean")));
-            s.push(dep(format!("{layer} barrier/liner deposition")));
-            s.push(dep(format!("{layer} Cu seed deposition")));
-            s.push(metz(format!("{layer} Cu electroplating")));
-            s.push(metz(format!("{layer} anneal")));
-            s.push(metz(format!("{layer} CMP")));
-            s.push(wet(format!("{layer} post-CMP clean")));
-            s.push(dep(format!("{layer} dielectric cap")));
-            s.push(dry(format!("{layer} descum")));
-            s.push(dry(format!("{layer} cap open")));
-            for i in 1..=4 {
-                s.push(met(format!("{layer} metrology {i}")));
-            }
-        }
-        Lithography::ImmersionLele => {
-            // Litho-etch-litho-etch trench + single-print via.
-            s.push(dep(format!("{layer} ILD deposition")));
-            s.push(ProcessStep::litho(
-                LithoTool::Immersion,
-                format!("{layer} via exposure"),
-            ));
-            s.push(dry(format!("{layer} via etch")));
-            s.push(dep(format!("{layer} trench hard mask A")));
-            s.push(ProcessStep::litho(
-                LithoTool::Immersion,
-                format!("{layer} trench exposure A"),
-            ));
-            s.push(dry(format!("{layer} trench etch A")));
-            s.push(dep(format!("{layer} trench hard mask B")));
-            s.push(ProcessStep::litho(
-                LithoTool::Immersion,
-                format!("{layer} trench exposure B"),
-            ));
-            s.push(dry(format!("{layer} trench etch B")));
-            s.push(dry(format!("{layer} hard-mask strip")));
-            s.push(dry(format!("{layer} final trench transfer")));
-            s.push(dry(format!("{layer} descum")));
-            s.push(wet(format!("{layer} post-etch clean")));
-            s.push(dep(format!("{layer} barrier/liner deposition")));
-            s.push(dep(format!("{layer} Cu seed deposition")));
-            s.push(metz(format!("{layer} Cu electroplating")));
-            s.push(metz(format!("{layer} anneal")));
-            s.push(metz(format!("{layer} CMP")));
-            s.push(wet(format!("{layer} post-CMP clean")));
-            s.push(dep(format!("{layer} dielectric cap")));
-            for i in 1..=5 {
-                s.push(met(format!("{layer} metrology {i}")));
-            }
-        }
-        Lithography::ImmersionSingle => {
-            s.push(dep(format!("{layer} ILD deposition")));
-            s.push(ProcessStep::litho(
-                LithoTool::Immersion,
-                format!("{layer} via exposure"),
-            ));
-            s.push(dry(format!("{layer} via etch")));
-            s.push(ProcessStep::litho(
-                LithoTool::Immersion,
-                format!("{layer} trench exposure"),
-            ));
-            s.push(dry(format!("{layer} trench etch")));
-            s.push(dry(format!("{layer} hard-mask strip")));
-            s.push(dry(format!("{layer} descum")));
-            s.push(wet(format!("{layer} post-etch clean")));
-            s.push(dep(format!("{layer} barrier/liner deposition")));
-            s.push(dep(format!("{layer} Cu seed deposition")));
-            s.push(metz(format!("{layer} Cu electroplating")));
-            s.push(metz(format!("{layer} anneal")));
-            s.push(metz(format!("{layer} CMP")));
-            s.push(wet(format!("{layer} post-CMP clean")));
-            s.push(dep(format!("{layer} dielectric cap")));
-            for i in 1..=3 {
-                s.push(met(format!("{layer} metrology {i}")));
-            }
-        }
+        // Single EUV print each for via and trench.
+        Lithography::EuvSingle => vec![
+            dep("ILD deposition"),
+            euv("via EUV exposure"),
+            dry("via etch"),
+            dep("trench hard mask"),
+            euv("trench EUV exposure"),
+            dry("trench etch"),
+            dry("hard-mask strip"),
+            wet("post-etch clean"),
+            dep("barrier/liner deposition"),
+            dep("Cu seed deposition"),
+            metz("Cu electroplating"),
+            metz("anneal"),
+            metz("CMP"),
+            wet("post-CMP clean"),
+            dep("dielectric cap"),
+            dry("descum"),
+            dry("cap open"),
+            met("metrology 1"),
+            met("metrology 2"),
+            met("metrology 3"),
+            met("metrology 4"),
+        ],
+        // Litho-etch-litho-etch trench + single-print via.
+        Lithography::ImmersionLele => vec![
+            dep("ILD deposition"),
+            imm("via exposure"),
+            dry("via etch"),
+            dep("trench hard mask A"),
+            imm("trench exposure A"),
+            dry("trench etch A"),
+            dep("trench hard mask B"),
+            imm("trench exposure B"),
+            dry("trench etch B"),
+            dry("hard-mask strip"),
+            dry("final trench transfer"),
+            dry("descum"),
+            wet("post-etch clean"),
+            dep("barrier/liner deposition"),
+            dep("Cu seed deposition"),
+            metz("Cu electroplating"),
+            metz("anneal"),
+            metz("CMP"),
+            wet("post-CMP clean"),
+            dep("dielectric cap"),
+            met("metrology 1"),
+            met("metrology 2"),
+            met("metrology 3"),
+            met("metrology 4"),
+            met("metrology 5"),
+        ],
+        Lithography::ImmersionSingle => vec![
+            dep("ILD deposition"),
+            imm("via exposure"),
+            dry("via etch"),
+            imm("trench exposure"),
+            dry("trench etch"),
+            dry("hard-mask strip"),
+            dry("descum"),
+            wet("post-etch clean"),
+            dep("barrier/liner deposition"),
+            dep("Cu seed deposition"),
+            metz("Cu electroplating"),
+            metz("anneal"),
+            metz("CMP"),
+            wet("post-CMP clean"),
+            dep("dielectric cap"),
+            met("metrology 1"),
+            met("metrology 2"),
+            met("metrology 3"),
+        ],
     }
-    s
 }
 
 /// The step sequence of one CNFET device tier (paper Sec. II-C): oxide +
 /// wet-incubation CNT deposition, O₂-plasma active patterning, S/D
 /// formation, high-k deposition, gate formation, S/D expose, and tier vias.
 pub fn cnfet_tier_steps() -> Vec<ProcessStep> {
-    let mut s = Vec::new();
-    let dep = |l: &str| ProcessStep::new(ProcessArea::Deposition, l);
-    let dry = |l: &str| ProcessStep::new(ProcessArea::DryEtch, l);
-    let wet = |l: &str| ProcessStep::new(ProcessArea::WetEtch, l);
-    s.push(dep("CNFET tier isolation oxide"));
-    s.push(dep("CNT wet-incubation deposition (~2 nm)"));
-    s.push(wet("CNT incubation rinse"));
-    s.push(ProcessStep::litho(LithoTool::Euv, "CNFET active exposure"));
-    s.push(dry("CNFET active O2-plasma etch"));
-    s.push(ProcessStep::litho(LithoTool::Euv, "CNFET S/D exposure"));
-    s.push(dep("CNFET S/D electrode deposition (40 nm)"));
-    s.push(wet("CNFET S/D lift-off"));
-    s.push(dep("CNFET high-k dielectric (2 nm)"));
-    s.push(ProcessStep::litho(LithoTool::Euv, "CNFET gate exposure"));
-    s.push(dep("CNFET gate metal deposition (30 nm)"));
-    s.push(dry("CNFET gate etch"));
-    s.push(wet("CNFET S/D expose wet etch"));
-    s.push(ProcessStep::litho(
-        LithoTool::Euv,
-        "CNFET tier-via exposure",
-    ));
-    s.push(dry("CNFET tier-via etch"));
-    s.push(dep("CNFET tier-via fill"));
-    s.push(ProcessStep::new(
-        ProcessArea::Metallization,
-        "CNFET tier-via CMP",
-    ));
-    s.push(wet("CNFET post-CMP clean"));
-    for i in 1..=6 {
-        s.push(ProcessStep::new(
-            ProcessArea::Metrology,
-            format!("CNFET tier metrology {i}"),
-        ));
-    }
-    s
+    let dep = |label| ProcessStep::new(ProcessArea::Deposition, label);
+    let dry = |label| ProcessStep::new(ProcessArea::DryEtch, label);
+    let wet = |label| ProcessStep::new(ProcessArea::WetEtch, label);
+    let met = |label| ProcessStep::new(ProcessArea::Metrology, label);
+    let euv = |label| ProcessStep::litho(LithoTool::Euv, label);
+    vec![
+        dep("CNFET tier isolation oxide"),
+        dep("CNT wet-incubation deposition (~2 nm)"),
+        wet("CNT incubation rinse"),
+        euv("CNFET active exposure"),
+        dry("CNFET active O2-plasma etch"),
+        euv("CNFET S/D exposure"),
+        dep("CNFET S/D electrode deposition (40 nm)"),
+        wet("CNFET S/D lift-off"),
+        dep("CNFET high-k dielectric (2 nm)"),
+        euv("CNFET gate exposure"),
+        dep("CNFET gate metal deposition (30 nm)"),
+        dry("CNFET gate etch"),
+        wet("CNFET S/D expose wet etch"),
+        euv("CNFET tier-via exposure"),
+        dry("CNFET tier-via etch"),
+        dep("CNFET tier-via fill"),
+        ProcessStep::new(ProcessArea::Metallization, "CNFET tier-via CMP"),
+        wet("CNFET post-CMP clean"),
+        met("CNFET tier metrology 1"),
+        met("CNFET tier metrology 2"),
+        met("CNFET tier metrology 3"),
+        met("CNFET tier metrology 4"),
+        met("CNFET tier metrology 5"),
+        met("CNFET tier metrology 6"),
+    ]
 }
 
 /// The step sequence of one IGZO device tier: RF-sputtered channel,
 /// wet-etched active, S/D, ALD high-k, gate, and tier vias.
 pub fn igzo_tier_steps() -> Vec<ProcessStep> {
-    let mut s = Vec::new();
-    let dep = |l: &str| ProcessStep::new(ProcessArea::Deposition, l);
-    let dry = |l: &str| ProcessStep::new(ProcessArea::DryEtch, l);
-    let wet = |l: &str| ProcessStep::new(ProcessArea::WetEtch, l);
-    s.push(dep("IGZO RF-sputter deposition (10 nm)"));
-    s.push(ProcessStep::litho(LithoTool::Euv, "IGZO active exposure"));
-    s.push(wet("IGZO active wet etch"));
-    s.push(ProcessStep::litho(LithoTool::Euv, "IGZO S/D exposure"));
-    s.push(dep("IGZO S/D electrode deposition"));
-    s.push(wet("IGZO S/D lift-off"));
-    s.push(dep("IGZO ALD gate insulator (4 nm)"));
-    s.push(ProcessStep::litho(LithoTool::Euv, "IGZO gate exposure"));
-    s.push(dep("IGZO gate metal deposition"));
-    s.push(dry("IGZO gate etch"));
-    s.push(ProcessStep::litho(LithoTool::Euv, "IGZO tier-via exposure"));
-    s.push(dry("IGZO tier-via etch"));
-    s.push(dep("IGZO tier-via fill"));
-    s.push(ProcessStep::new(
-        ProcessArea::Metallization,
-        "IGZO tier-via CMP",
-    ));
-    s.push(wet("IGZO post-CMP clean"));
-    for i in 1..=6 {
-        s.push(ProcessStep::new(
-            ProcessArea::Metrology,
-            format!("IGZO tier metrology {i}"),
-        ));
-    }
-    s
+    let dep = |label| ProcessStep::new(ProcessArea::Deposition, label);
+    let dry = |label| ProcessStep::new(ProcessArea::DryEtch, label);
+    let wet = |label| ProcessStep::new(ProcessArea::WetEtch, label);
+    let met = |label| ProcessStep::new(ProcessArea::Metrology, label);
+    let euv = |label| ProcessStep::litho(LithoTool::Euv, label);
+    vec![
+        dep("IGZO RF-sputter deposition (10 nm)"),
+        euv("IGZO active exposure"),
+        wet("IGZO active wet etch"),
+        euv("IGZO S/D exposure"),
+        dep("IGZO S/D electrode deposition"),
+        wet("IGZO S/D lift-off"),
+        dep("IGZO ALD gate insulator (4 nm)"),
+        euv("IGZO gate exposure"),
+        dep("IGZO gate metal deposition"),
+        dry("IGZO gate etch"),
+        euv("IGZO tier-via exposure"),
+        dry("IGZO tier-via etch"),
+        dep("IGZO tier-via fill"),
+        ProcessStep::new(ProcessArea::Metallization, "IGZO tier-via CMP"),
+        wet("IGZO post-CMP clean"),
+        met("IGZO tier metrology 1"),
+        met("IGZO tier metrology 2"),
+        met("IGZO tier metrology 3"),
+        met("IGZO tier metrology 4"),
+        met("IGZO tier metrology 5"),
+        met("IGZO tier metrology 6"),
+    ]
 }
 
 #[cfg(test)]
@@ -318,7 +297,7 @@ mod tests {
 
     #[test]
     fn euv_pair_counts_match_design() {
-        let steps = metal_via_pair_steps("M1", Lithography::EuvSingle);
+        let steps = metal_via_pair_steps(Lithography::EuvSingle);
         let euv = steps
             .iter()
             .filter(|s| s.tool == Some(LithoTool::Euv))
@@ -335,9 +314,9 @@ mod tests {
     fn pair_energies_by_pitch() {
         // The calibrated database places an EUV pair at ~37.8 kWh, a LELE
         // pair at ~33.4 kWh and a single-immersion pair at ~20.7 kWh.
-        let e36 = seq_energy(&metal_via_pair_steps("M1", Lithography::EuvSingle));
-        let e48 = seq_energy(&metal_via_pair_steps("M4", Lithography::ImmersionLele));
-        let e64 = seq_energy(&metal_via_pair_steps("M6", Lithography::ImmersionSingle));
+        let e36 = seq_energy(&metal_via_pair_steps(Lithography::EuvSingle));
+        let e48 = seq_energy(&metal_via_pair_steps(Lithography::ImmersionLele));
+        let e64 = seq_energy(&metal_via_pair_steps(Lithography::ImmersionSingle));
         assert!(approx_eq(e36, 37.84, 0.01), "E36 = {e36}");
         assert!(approx_eq(e48, 30.56, 0.01), "E48 = {e48}");
         assert!(approx_eq(e64, 22.09, 0.01), "E64 = {e64}");
@@ -348,7 +327,7 @@ mod tests {
     fn device_tiers_cost_more_than_a_metal_layer() {
         let e_cn = seq_energy(&cnfet_tier_steps());
         let e_ig = seq_energy(&igzo_tier_steps());
-        let e36 = seq_energy(&metal_via_pair_steps("M1", Lithography::EuvSingle));
+        let e36 = seq_energy(&metal_via_pair_steps(Lithography::EuvSingle));
         assert!(e_cn > e36 && e_ig > e36);
         assert!(approx_eq(e_cn, 52.2, 0.02), "E_CNFET tier = {e_cn}");
         assert!(approx_eq(e_ig, 49.0, 0.02), "E_IGZO tier = {e_ig}");
@@ -396,7 +375,7 @@ mod tests {
 
     #[test]
     fn area_breakdown_covers_all_steps() {
-        let steps = metal_via_pair_steps("M2", Lithography::EuvSingle);
+        let steps = metal_via_pair_steps(Lithography::EuvSingle);
         let rows = area_breakdown(&steps, &db());
         let n: usize = rows.iter().map(|(_, c, _)| c).sum();
         assert_eq!(n, steps.len());

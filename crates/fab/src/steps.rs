@@ -78,14 +78,16 @@ impl core::fmt::Display for LithoTool {
 
 /// One step of a process flow: a process area, the litho tool when relevant,
 /// and a descriptive label for reporting.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProcessStep {
     /// Process area this step belongs to.
     pub area: ProcessArea,
     /// Exposure tool; `Some` only for [`ProcessArea::Lithography`] steps.
     pub tool: Option<LithoTool>,
-    /// Description, e.g. `"M5 via EUV exposure"`.
-    pub label: String,
+    /// What the step does, e.g. `"via EUV exposure"` or `"CNFET gate
+    /// exposure"`. A metal/via pair's steps are the same at every layer
+    /// of one patterning class, so the label does not name the layer.
+    pub label: &'static str,
 }
 
 impl ProcessStep {
@@ -95,7 +97,7 @@ impl ProcessStep {
     ///
     /// Panics if `area` is [`ProcessArea::Lithography`]; use
     /// [`ProcessStep::litho`] for exposures.
-    pub fn new(area: ProcessArea, label: impl Into<String>) -> Self {
+    pub fn new(area: ProcessArea, label: &'static str) -> Self {
         assert!(
             area != ProcessArea::Lithography,
             "use ProcessStep::litho for lithography steps"
@@ -103,16 +105,16 @@ impl ProcessStep {
         Self {
             area,
             tool: None,
-            label: label.into(),
+            label,
         }
     }
 
     /// A lithography exposure with the given tool.
-    pub fn litho(tool: LithoTool, label: impl Into<String>) -> Self {
+    pub fn litho(tool: LithoTool, label: &'static str) -> Self {
         Self {
             area: ProcessArea::Lithography,
             tool: Some(tool),
-            label: label.into(),
+            label,
         }
     }
 }

@@ -117,7 +117,7 @@ fn m3d_premium_holds_on_any_grid() {
 fn litho_counts_by_class() {
     for pitch in PITCHES_NM {
         let litho = Lithography::for_pitch(Length::from_nanometers(pitch));
-        let steps = metal_via_pair_steps("Mx", litho);
+        let steps = metal_via_pair_steps(litho);
         let exposures = steps
             .iter()
             .filter(|s| s.area == ppatc_fab::ProcessArea::Lithography)

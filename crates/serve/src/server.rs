@@ -517,12 +517,12 @@ enum FrameOutcome {
     Frame(String),
     /// EOF between frames.
     CleanClose,
-    /// The peer vanished mid-frame or the socket failed.
+    /// The socket failed.
     Disconnected,
     /// The server is draining and no frame had started.
     Draining,
     /// The frame violated the protocol (including the slow-loris
-    /// timeout).
+    /// timeout and an EOF after the frame's first byte).
     Malformed(WireError),
 }
 
@@ -550,7 +550,10 @@ fn read_frame_polled(stream: &mut TcpStream, shared: &Arc<Shared>) -> FrameOutco
                 return if buf.is_empty() {
                     FrameOutcome::CleanClose
                 } else {
-                    FrameOutcome::Disconnected
+                    FrameOutcome::Malformed(WireError::Truncated {
+                        got: buf.len(),
+                        want,
+                    })
                 };
             }
             Ok(n) => {

@@ -171,7 +171,14 @@ fn mid_request_disconnects_leave_the_server_serving() {
     let mut client = connect(&handle);
     let pong = client.try_request("ping").expect("still serving");
     assert!(pong.ok);
+    // Each tear is counted as a truncated frame once its connection
+    // thread reads the EOF.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.health().malformed < 5 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
     let report = handle.drain();
+    assert_eq!(report.malformed, 5, "every tear counted once: {report:?}");
     assert_eq!(report.connections_panicked, 0);
 }
 
