@@ -15,8 +15,7 @@
 //! supervision flags:
 //!
 //! - `--deadline SECS` — stop the run (exit code 2) once the wall-clock
-//!   budget expires; the deadline is also threaded into the SPICE solver
-//!   budget.
+//!   budget expires; the budget is polled between chunks.
 //! - `--checkpoint PATH` — journal every finished chunk to `PATH`.
 //! - `--resume` — reload `PATH` and recompute only the missing items; a
 //!   resumed run is byte-identical to an uninterrupted one.

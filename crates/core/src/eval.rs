@@ -148,16 +148,6 @@ impl RunBudget {
         }
         Ok(())
     }
-
-    /// The matching per-solve [`ppatc_spice::SolverBudget`], sharing this
-    /// budget's deadline — so a run-level deadline also stops a SPICE
-    /// recovery ladder or transient loop stuck inside one work item.
-    pub fn solver_budget(&self) -> ppatc_spice::SolverBudget {
-        match self.deadline {
-            Some(d) => ppatc_spice::SolverBudget::unlimited().with_deadline(d),
-            None => ppatc_spice::SolverBudget::unlimited(),
-        }
-    }
 }
 
 /// Everything a supervised entry point needs beyond its inputs: the
@@ -946,9 +936,6 @@ mod tests {
         token.cancel();
         // Cancellation is checked first.
         assert_eq!(both.check(), Err(InterruptReason::Cancelled));
-        // The derived solver budget shares the deadline.
-        assert!(both.solver_budget().exhausted(0));
-        assert!(RunBudget::unlimited().solver_budget().is_unlimited());
         // A timeout past the clock's range is no bound, not a panic.
         assert!(RunBudget::unlimited()
             .with_deadline_in(Duration::MAX)

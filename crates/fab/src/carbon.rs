@@ -4,7 +4,7 @@ use crate::flow::ProcessFlow;
 use crate::grid::Grid;
 use crate::materials;
 use crate::steps::StepEnergies;
-use ppatc_pdk::{Technology, TierKind};
+use ppatc_pdk::{LayerStack, Technology, TierKind};
 use ppatc_units::{Area, CarbonArea, CarbonMass, Energy, Length};
 
 /// Reference EPA of the imec iN7 EUV node, kWh per 300 mm wafer, used to
@@ -99,7 +99,11 @@ impl EmbodiedModel {
 
     /// MPA for a technology (substrate + emerging-material additions).
     pub fn mpa(&self, technology: Technology) -> CarbonArea {
-        let stack = technology.stack();
+        self.mpa_of_stack(&technology.stack())
+    }
+
+    /// MPA from the device tiers of an already-built stack.
+    fn mpa_of_stack(&self, stack: &LayerStack) -> CarbonArea {
         materials::process_mpa(
             self.wafer_area(),
             stack.tier_count(TierKind::Cnfet),
@@ -107,10 +111,12 @@ impl EmbodiedModel {
         )
     }
 
-    /// Full Eq. 2 evaluation for one technology on one grid.
+    /// Full Eq. 2 evaluation for one technology on one grid. The layer
+    /// stack is built once and serves both the flow and the MPA.
     pub fn embodied_per_wafer(&self, technology: Technology, fab_grid: Grid) -> EmbodiedBreakdown {
-        let flow = ProcessFlow::for_technology(technology);
-        self.embodied_per_wafer_for_flow(&flow, technology, fab_grid)
+        let stack = technology.stack();
+        let flow = ProcessFlow::from_stack(technology.label(), &stack);
+        self.breakdown(&flow, self.mpa_of_stack(&stack), technology, fab_grid)
     }
 
     /// Eq. 2 for an explicit flow (allows custom stacks); `technology`
@@ -121,6 +127,17 @@ impl EmbodiedModel {
         technology: Technology,
         fab_grid: Grid,
     ) -> EmbodiedBreakdown {
+        self.breakdown(flow, self.mpa(technology), technology, fab_grid)
+    }
+
+    /// Eq. 2 for a flow and the MPA of its materials model.
+    fn breakdown(
+        &self,
+        flow: &ProcessFlow,
+        mpa: CarbonArea,
+        technology: Technology,
+        fab_grid: Grid,
+    ) -> EmbodiedBreakdown {
         let area = self.wafer_area();
         let epa = self.epa(flow);
         let epa_f = epa * self.facility_overhead;
@@ -128,7 +145,7 @@ impl EmbodiedModel {
             technology,
             grid: fab_grid,
             wafer_area: area,
-            materials: self.mpa(technology) * area,
+            materials: mpa * area,
             gases: self.gpa_for_epa(epa) * area,
             fab_electricity: fab_grid.ci() * epa_f,
             epa,

@@ -11,7 +11,7 @@
 //!   `SystemTime::now()`, and arithmetic over their readings),
 //! * `Unknown` — everything else.
 //!
-//! Evaluation is no longer purely intra-procedural: an optional [`Inter`]
+//! Evaluation is no longer purely intra-procedural: an optional `Inter`
 //! oracle (implemented by [`crate::summaries`]' fixed-point engine)
 //! resolves workspace calls to inferred per-fn summaries, so a unit fault
 //! that crosses a `fn` signature — or a crate boundary — is checked at

@@ -14,7 +14,7 @@
 //! The engine iterates to a fixed point (Jacobi style, bounded rounds,
 //! fixed fn order — the result is deterministic even if a pathological
 //! cycle fails to converge). Findings are only emitted by the final
-//! [`Engine::check`] pass; iteration rounds discard them, so a finding is
+//! `Engine::check` pass; iteration rounds discard them, so a finding is
 //! always phrased against the *converged* summaries.
 
 use crate::ast::Block;

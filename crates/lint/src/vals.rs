@@ -17,11 +17,11 @@
 //! * guard conditions — `if x > 0.0 { .. }` narrows `x` in the then
 //!   branch, `if x <= 0.0 { return .. }` narrows the continuation, and
 //!   `!x.is_nan()` / `x.is_finite()` clear the NaN bit,
-//! * interprocedural return ranges via the [`Inter`] oracle, so a
+//! * interprocedural return ranges via the `Inter` oracle, so a
 //!   `fn zero() -> f64 { 0.0 }` poisons divisions in other crates.
 //!
 //! Loop back-edges are handled by bounded **widening**: the body is
-//! evaluated up to [`WIDEN_ITERS`] times, any variable whose range grew
+//! evaluated up to `WIDEN_ITERS` times, any variable whose range grew
 //! is widened (to `0` when the growth stayed on one side of zero, else to
 //! infinity), and a final stabilized evaluation emits the findings. The
 //! iteration count is a constant, so termination is unconditional.

@@ -287,17 +287,10 @@ fn eval_params(fields: &HashMap<&str, &str>) -> Result<EvalParams, QueryError> {
     let workload = match fields.get("workload") {
         None => defaults.workload,
         Some(name) => {
-            if workload_by_name(name).is_none() {
-                let suite = Workload::suite()
-                    .iter()
-                    .map(Workload::name)
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                return Err(QueryError::Invalid {
-                    field: "workload",
-                    msg: format!("unknown workload `{name}`; the suite is: {suite}"),
-                });
-            }
+            Workload::by_name(name).map_err(|e| QueryError::Invalid {
+                field: "workload",
+                msg: e.to_string(),
+            })?;
             (*name).to_string()
         }
     };
@@ -425,11 +418,6 @@ pub fn canonical_key(query: &Query) -> String {
     }
 }
 
-/// Looks a workload up by its suite name.
-fn workload_by_name(name: &str) -> Option<Workload> {
-    Workload::suite().into_iter().find(|w| w.name() == name)
-}
-
 /// Executes a workload once per process and memoizes the run — the serve
 /// generalization of `ppatc-bench`'s `matmul_run` `OnceLock`.
 fn memoized_run(name: &str) -> Result<Arc<WorkloadRun>, PpatcError> {
@@ -440,10 +428,7 @@ fn memoized_run(name: &str) -> Result<Arc<WorkloadRun>, PpatcError> {
     }
     // Execute outside the lock: concurrent first-misses duplicate work but
     // never block each other, and the result is deterministic either way.
-    let workload = workload_by_name(name).ok_or(PpatcError::Validation(
-        ppatc::ValidationError::new("workload", f64::NAN, "a member of the workload suite"),
-    ))?;
-    let run = Arc::new(workload.execute()?);
+    let run = Arc::new(Workload::by_name(name)?.execute()?);
     lock_unpoisoned(runs)
         .entry(name.to_string())
         .or_insert_with(|| Arc::clone(&run));
@@ -725,6 +710,20 @@ mod tests {
         let a = try_evaluate(&req.query, &RunBudget::unlimited()).expect("evaluates");
         let b = try_evaluate(&req.query, &RunBudget::unlimited()).expect("evaluates");
         assert_eq!(a, b, "byte-identical on repeat");
+    }
+
+    #[test]
+    fn unknown_workload_is_named_in_the_evaluation_error() {
+        // `try_parse_request` rejects the name first; a query built in code
+        // reaches the lookup on `memoized_run`'s miss path.
+        let query = Query::Eval(EvalParams {
+            workload: "fft".to_string(),
+            ..EvalParams::default()
+        });
+        let err = try_evaluate(&query, &RunBudget::unlimited()).expect_err("not in the suite");
+        let msg = err.to_string();
+        assert!(msg.contains("`fft`") && msg.contains("matmul-int"), "{msg}");
+        assert!(!msg.contains("NaN"), "{msg}");
     }
 
     #[test]

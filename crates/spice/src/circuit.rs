@@ -77,7 +77,7 @@ pub(crate) enum PlanOp {
         ib: Option<usize>,
         cap_idx: usize,
     },
-    /// An ideal voltage source; `value` holds `wave.at(t) · source_scale`.
+    /// An ideal voltage source; `value` holds `wave.at(t)`.
     VSource {
         ip: Option<usize>,
         in_: Option<usize>,
@@ -110,8 +110,8 @@ pub(crate) enum PlanOp {
 /// The plan is valid for the lifetime of a topology (element list, node
 /// set, and element parameters); any circuit edit requires recompiling.
 /// Per-call quantities stay out of the cache: source values are refreshed
-/// by [`StampPlan::set_sources`] per (time, source-scale) pair, and `gmin`
-/// and the capacitor companion models are replay arguments.
+/// by [`StampPlan::set_sources`] per time point, and the capacitor
+/// companion models are a replay argument.
 #[derive(Clone, Debug)]
 pub(crate) struct StampPlan {
     ops: Vec<PlanOp>,
@@ -167,15 +167,15 @@ impl StampPlan {
         }
     }
 
-    /// Refreshes the cached source values for time `t` and `source_scale`.
-    /// Newton iterates at a fixed (t, scale), so this runs once per solve
-    /// rather than once per iteration.
-    pub fn set_sources(&mut self, circuit: &Circuit, t: f64, source_scale: f64) {
+    /// Refreshes the cached source values for time `t`. Newton iterates at
+    /// a fixed `t`, so this runs once per solve rather than once per
+    /// iteration.
+    pub fn set_sources(&mut self, circuit: &Circuit, t: f64) {
         for (op, e) in self.ops.iter_mut().zip(&circuit.elements) {
             match (op, e) {
                 (PlanOp::VSource { value, .. }, Element::VSource { wave, .. })
                 | (PlanOp::ISource { value, .. }, Element::ISource { wave, .. }) => {
-                    *value = wave.at(t) * source_scale;
+                    *value = wave.at(t);
                 }
                 _ => {}
             }
@@ -339,10 +339,9 @@ impl Circuit {
     /// (g_eq, i_eq) per capacitor for transient analysis; `None` treats
     /// capacitors as open (DC).
     ///
-    /// `gmin` is the shunt conductance to ground on every node (the
-    /// convergence-recovery ladder raises it temporarily, so it stays a
-    /// replay-time argument). Source values must have been refreshed with
-    /// [`StampPlan::set_sources`] for the solve's time and source scale.
+    /// Every non-ground node gets the [`GMIN`] shunt to ground. Source
+    /// values must have been refreshed with [`StampPlan::set_sources`] for
+    /// the solve's time.
     ///
     /// Every `+=` lands in the same order the pre-plan interpretive walk
     /// used: op replay follows element-insertion order, and the per-element
@@ -354,12 +353,11 @@ impl Circuit {
         plan: &StampPlan,
         x: &[f64],
         cap_companion: Option<&[(f64, f64)]>,
-        gmin: f64,
     ) {
         sys.clear();
         // GMIN to ground on every non-ground node.
         for i in 0..plan.n_nodes {
-            sys.add(i, i, gmin);
+            sys.add(i, i, GMIN);
         }
 
         for (op, e) in plan.ops.iter().zip(&self.elements) {

@@ -34,18 +34,6 @@ pub enum SpiceError {
     },
     /// A transient was requested with a non-positive step or stop time.
     InvalidTimeAxis,
-    /// The analysis exceeded its [`SolverBudget`](crate::SolverBudget)
-    /// (wall-clock deadline or total Newton-iteration bound) before
-    /// converging.
-    SolverBudgetExceeded {
-        /// Analysis that was cut short (`"dc"` or `"transient"`).
-        analysis: &'static str,
-        /// Newton iterations spent before the budget tripped.
-        iterations: usize,
-        /// Recovery-ladder attempts made before the budget tripped (always
-        /// empty for transient analyses, which run no ladder).
-        log: crate::dc::RecoveryLog,
-    },
 }
 
 impl core::fmt::Display for SpiceError {
@@ -71,20 +59,6 @@ impl core::fmt::Display for SpiceError {
             }
             SpiceError::InvalidTimeAxis => {
                 write!(f, "transient stop time and step must both be positive")
-            }
-            SpiceError::SolverBudgetExceeded {
-                analysis,
-                iterations,
-                log,
-            } => {
-                write!(
-                    f,
-                    "{analysis} analysis exceeded its solver budget after {iterations} Newton iteration(s)"
-                )?;
-                if log.total_attempts() > 0 {
-                    write!(f, " ({log})")?;
-                }
-                Ok(())
             }
         }
     }
@@ -118,16 +92,5 @@ mod tests {
             msg.contains("ill-conditioned") && msg.contains('3'),
             "{msg}"
         );
-    }
-
-    #[test]
-    fn budget_display_reports_analysis_and_iterations() {
-        let e = SpiceError::SolverBudgetExceeded {
-            analysis: "transient",
-            iterations: 17,
-            log: crate::dc::RecoveryLog::default(),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("transient") && msg.contains("17"), "{msg}");
     }
 }

@@ -42,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-mod budget;
 mod circuit;
 mod dc;
 mod error;
@@ -52,9 +51,8 @@ mod sweep;
 mod transient;
 mod waveform;
 
-pub use budget::SolverBudget;
 pub use circuit::{Circuit, ElementId, NodeId};
-pub use dc::{recovery_counters, DcOptions, RecoveryAttempt, RecoveryLog, RecoveryStage};
+pub use dc::recovery_counters;
 pub use error::SpiceError;
 pub use measure::{Edge, Trace};
 pub use sweep::SweepResult;

@@ -6,9 +6,8 @@
 //!
 //! The stamped matrix `a` and right-hand side `b` are never mutated by
 //! [`LinearSystem::solve`]: elimination runs on internal workspace copies,
-//! so a failed solve leaves the system exactly as stamped and a
-//! recovery-ladder retry can re-stamp (or even re-solve) safely. Solutions
-//! are vetted twice — pivots are compared against the matrix's own
+//! so a failed solve leaves the system exactly as stamped. Solutions are
+//! vetted twice — pivots are compared against the matrix's own
 //! magnitude rather than an absolute floor, and the computed `x` is checked
 //! against the pristine `A·x = b` residual — so a nearly-singular system
 //! surfaces [`SpiceError::IllConditioned`] instead of finite garbage.
@@ -76,9 +75,8 @@ impl LinearSystem {
     }
 
     /// Solves `A·x = b`, returning the solution slice. The stamped `a`/`b`
-    /// are left untouched (elimination works on internal copies), so the
-    /// caller may retry — with different GMIN or source scaling — after any
-    /// error without re-building the system from scratch.
+    /// are left untouched (elimination works on internal copies), even
+    /// when the solve fails.
     ///
     /// # Errors
     ///
@@ -289,8 +287,7 @@ mod tests {
     #[test]
     fn failed_solve_leaves_the_stamped_system_intact() {
         // A singular matrix used to early-return mid-elimination with `a`
-        // and `b` half-mutated; the stamped entries must now survive so a
-        // ladder retry can re-stamp (or inspect) the original system.
+        // and `b` half-mutated; the stamped entries must now survive it.
         let mut sys = LinearSystem::new(2);
         sys.add(0, 0, 1.0);
         sys.add(0, 1, 1.0);

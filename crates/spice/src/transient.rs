@@ -1,6 +1,5 @@
 //! Fixed-step transient analysis.
 
-use crate::budget::SolverBudget;
 use crate::circuit::{Circuit, Element};
 use crate::error::SpiceError;
 use crate::measure::{Edge, Trace};
@@ -33,9 +32,6 @@ pub struct TransientConfig {
     /// Node voltages to force as initial conditions *after* the DC solve —
     /// used to seed dynamic storage nodes (e.g. a DRAM cell's state).
     pub initial_voltages: Vec<(crate::NodeId, Voltage)>,
-    /// Bound on the whole analysis (initial DC solve plus every time
-    /// step). Checked between time steps; unlimited by default.
-    pub budget: SolverBudget,
 }
 
 impl TransientConfig {
@@ -48,17 +44,7 @@ impl TransientConfig {
             integration: Integration::default(),
             from_dc: true,
             initial_voltages: Vec::new(),
-            budget: SolverBudget::unlimited(),
         }
-    }
-
-    /// Builder: bounds the whole analysis by a [`SolverBudget`]. The budget
-    /// is checked between time steps; an exhausted budget returns
-    /// [`SpiceError::SolverBudgetExceeded`] with `analysis = "transient"`.
-    #[must_use]
-    pub fn with_budget(mut self, budget: SolverBudget) -> Self {
-        self.budget = budget;
-        self
     }
 
     /// Builder: sets the integration scheme.
@@ -89,9 +75,8 @@ impl Circuit {
     /// # Errors
     ///
     /// [`SpiceError::InvalidTimeAxis`] for non-positive `stop`/`step`,
-    /// [`SpiceError::SolverBudgetExceeded`] when [`TransientConfig::budget`]
-    /// trips between time steps, otherwise any solver error from the
-    /// per-step Newton iterations.
+    /// otherwise any solver error from the initial DC solve or the per-step
+    /// Newton iterations.
     pub fn transient(&self, cfg: &TransientConfig) -> Result<Trace, SpiceError> {
         self.step_until(cfg, |_| false)
     }
@@ -164,9 +149,6 @@ impl Circuit {
         } else {
             steps_exact.ceil() as usize
         };
-        // Newton iterations spent so far (initial DC solve + all steps).
-        let mut spent = 0_usize;
-
         // One compiled stamp plan + linear-system workspace serves the
         // initial DC solve and every time step.
         let mut scratch = self.newton_scratch();
@@ -174,7 +156,7 @@ impl Circuit {
         // Initial state.
         let mut x = vec![0.0; self.unknowns()];
         if cfg.from_dc {
-            spent += self.newton_solve(&mut scratch, &mut x, 0.0, None, "dc")?;
+            self.newton_solve(&mut scratch, &mut x, 0.0, None, "dc")?;
         }
         for &(node, v) in &cfg.initial_voltages {
             if let Some(i) = self.node_index(node) {
@@ -203,13 +185,6 @@ impl Circuit {
 
         let mut companion = vec![(0.0, 0.0); caps.len()];
         for k in 1..=n_steps {
-            if cfg.budget.exhausted(spent) {
-                return Err(SpiceError::SolverBudgetExceeded {
-                    analysis: "transient",
-                    iterations: spent,
-                    log: crate::dc::RecoveryLog::default(),
-                });
-            }
             let t = (k as f64) * h;
             // Backward-Euler start-up step even under trapezoidal: the DC
             // point carries no capacitor-current history.
@@ -224,7 +199,7 @@ impl Circuit {
                     companion[ci] = (g_eq, -g_eq * v_prev[ci]);
                 }
             }
-            spent += self.newton_solve(&mut scratch, &mut x, t, Some(&companion), "transient")?;
+            self.newton_solve(&mut scratch, &mut x, t, Some(&companion), "transient")?;
             for (ci, &(a, b, _)) in caps.iter().enumerate() {
                 let v_now = self.voltage_of(&x, a) - self.voltage_of(&x, b);
                 let (g_eq, i_eq) = companion[ci];
@@ -513,40 +488,5 @@ mod tests {
         let (c, _) = rc_circuit();
         let bad = TransientConfig::new(Time::zero(), Time::from_picoseconds(1.0));
         assert_eq!(c.transient(&bad), Err(SpiceError::InvalidTimeAxis));
-    }
-
-    #[test]
-    fn iteration_budget_stops_the_transient_between_steps() {
-        let (c, _) = rc_circuit();
-        let cfg = TransientConfig::new(Time::from_nanoseconds(3.0), Time::from_picoseconds(2.0))
-            .with_budget(SolverBudget::unlimited().with_max_newton_iterations(1));
-        let err = c
-            .transient(&cfg)
-            .expect_err("a 1-iteration budget cannot run 1500 steps");
-        match err {
-            SpiceError::SolverBudgetExceeded {
-                analysis,
-                iterations,
-                log,
-            } => {
-                assert_eq!(analysis, "transient");
-                assert!(iterations >= 1, "the initial DC solve was counted");
-                assert_eq!(log.total_attempts(), 0, "transients run no ladder");
-            }
-            other => panic!("expected SolverBudgetExceeded, got {other}"),
-        }
-    }
-
-    #[test]
-    fn unlimited_budget_leaves_results_unchanged() {
-        let (c, out) = rc_circuit();
-        let plain = TransientConfig::new(Time::from_nanoseconds(1.0), Time::from_picoseconds(4.0));
-        let budgeted = plain.clone().with_budget(SolverBudget::unlimited());
-        let a = c.transient(&plain).expect("plain transient runs");
-        let b = c.transient(&budgeted).expect("budgeted transient runs");
-        assert_eq!(
-            a.last_voltage(out).as_volts().to_bits(),
-            b.last_voltage(out).as_volts().to_bits()
-        );
     }
 }

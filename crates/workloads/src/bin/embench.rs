@@ -103,25 +103,19 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let suite = Workload::suite();
-    let selected: Vec<&Workload> = if opts.kernel == "all" {
-        suite.iter().collect()
+    let selected = if opts.kernel == "all" {
+        Workload::suite()
     } else {
-        match suite.iter().find(|w| w.name() == opts.kernel) {
-            Some(w) => vec![w],
-            None => {
-                let names: Vec<_> = suite.iter().map(|w| w.name()).collect();
-                eprintln!(
-                    "unknown kernel `{}`; available: {}",
-                    opts.kernel,
-                    names.join(", ")
-                );
+        match Workload::by_name(&opts.kernel) {
+            Ok(w) => vec![w],
+            Err(e) => {
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         }
     };
     let mut out = io::stdout().lock();
-    for w in selected {
+    for w in &selected {
         if let Err(e) = run_kernel(w, &opts, &mut out) {
             // A reader that stops early (`embench all | head -1`) ends the
             // run; that is not a failure.

@@ -132,6 +132,21 @@ impl Workload {
         ]
     }
 
+    /// The suite kernel called `name`.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkloadError::Unknown`] if no kernel in [`Workload::suite`] has
+    /// that name.
+    pub fn by_name(name: &str) -> Result<Workload, WorkloadError> {
+        Self::suite()
+            .into_iter()
+            .find(|w| w.name == name)
+            .ok_or_else(|| WorkloadError::Unknown {
+                workload: name.to_string(),
+            })
+    }
+
     pub(crate) fn new(
         name: &'static str,
         description: &'static str,
@@ -252,6 +267,11 @@ pub struct WorkloadRun {
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum WorkloadError {
+    /// No kernel in the suite has this name.
+    Unknown {
+        /// The name asked for.
+        workload: String,
+    },
     /// The repetition count is outside `1..=255`.
     Reps {
         /// Kernel asked for.
@@ -277,6 +297,14 @@ pub enum WorkloadError {
 impl core::fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
+            WorkloadError::Unknown { workload } => {
+                let suite: Vec<_> = Workload::suite().iter().map(Workload::name).collect();
+                write!(
+                    f,
+                    "unknown workload `{workload}`; the suite is: {}",
+                    suite.join(", ")
+                )
+            }
             WorkloadError::Reps { workload, reps } => write!(
                 f,
                 "`{workload}` takes {} to {} repetitions, not {reps}",
@@ -302,7 +330,9 @@ impl std::error::Error for WorkloadError {
         match self {
             WorkloadError::Assemble(e) => Some(e),
             WorkloadError::Execute(e) => Some(e),
-            WorkloadError::Reps { .. } | WorkloadError::ChecksumMismatch { .. } => None,
+            WorkloadError::Unknown { .. }
+            | WorkloadError::Reps { .. }
+            | WorkloadError::ChecksumMismatch { .. } => None,
         }
     }
 }
@@ -354,6 +384,25 @@ mod tests {
             assert_eq!(w.execute_with_reps(reps), Err(err));
         }
         assert!(w.source(255).is_ok());
+    }
+
+    #[test]
+    fn by_name_finds_every_kernel_and_names_an_unknown_one() {
+        for w in Workload::suite() {
+            assert_eq!(Workload::by_name(w.name()).map(|k| k.name()), Ok(w.name()));
+        }
+        let err = Workload::by_name("fft").expect_err("not in the suite");
+        assert_eq!(
+            err,
+            WorkloadError::Unknown {
+                workload: "fft".to_string()
+            }
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains("`fft`") && msg.contains("matmul-int, crc32"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every test here feeds the pipeline deliberately corrupted inputs — NaN
 //! model parameters, zero and negative widths, inverted uncertainty
-//! ranges, solvers starved of iterations — and asserts that the failure
+//! ranges, circuits no solve can settle — and asserts that the failure
 //! surfaces as a *structured error*, never as a panic, and that
 //! per-sample faults in a Monte-Carlo sweep are isolated and counted
 //! rather than aborting the sweep.
@@ -18,8 +18,10 @@ use ppatc::{
     UsagePattern,
 };
 use ppatc_device::{si, DeviceError, SiVtFlavor};
-use ppatc_spice::{Circuit, DcOptions, RecoveryStage, SpiceError, Waveform};
-use ppatc_units::{CarbonIntensity, CarbonMass, Frequency, Length, Power, Time, Voltage};
+use ppatc_spice::{Circuit, SpiceError, TransientConfig, Waveform};
+use ppatc_units::{
+    CarbonIntensity, CarbonMass, Frequency, Length, Power, Resistance, Time, Voltage,
+};
 
 /// Asserts that `f` completes without panicking and returns its value.
 fn no_panic<T>(label: &str, f: impl FnOnce() -> T) -> T {
@@ -246,69 +248,37 @@ fn blown_failure_budget_is_an_error_not_a_panic() {
 }
 
 // ---------------------------------------------------------------------------
-// SPICE layer: forced non-convergence and the recovery ladder.
+// SPICE layer: forced non-convergence and singular topologies.
 // ---------------------------------------------------------------------------
-
-fn inverter_at_midrail() -> (Circuit, ppatc_spice::NodeId) {
-    let vdd = Voltage::from_volts(0.7);
-    let w = Length::from_nanometers(100.0);
-    let mut c = Circuit::new();
-    let nvdd = c.node("vdd");
-    let nin = c.node("in");
-    let nout = c.node("out");
-    c.voltage_source("VDD", nvdd, Circuit::GROUND, Waveform::dc(vdd));
-    c.voltage_source(
-        "VIN",
-        nin,
-        Circuit::GROUND,
-        Waveform::dc(Voltage::from_volts(0.35)),
-    );
-    c.fet("MP", nout, nin, nvdd, si::pfet(SiVtFlavor::Rvt).sized(w));
-    c.fet(
-        "MN",
-        nout,
-        nin,
-        Circuit::GROUND,
-        si::nfet(SiVtFlavor::Rvt).sized(w),
-    );
-    (c, nout)
-}
 
 #[test]
 fn forced_non_convergence_is_a_structured_error() {
-    let (c, _) = inverter_at_midrail();
-    // One Newton iteration per rung cannot converge anything nonlinear —
-    // even the full ladder must give up, with an error, not a panic.
-    let err = no_panic("recovery ladder at max_iter = 1", || {
-        c.dc_operating_point_recovered_with(DcOptions::new().with_max_iter(1))
-    })
-    .expect_err("one iteration cannot converge an inverter");
-    assert!(matches!(err, SpiceError::NoConvergence { .. }), "{err}");
-}
-
-#[test]
-fn recovery_ladder_rescues_a_starved_solve_and_logs_the_path() {
-    let (c, nout) = inverter_at_midrail();
-    let opts = DcOptions::new().with_max_iter(5);
-    let (x, log) = c
-        .dc_operating_point_recovered_with(opts)
-        .expect("ladder rescues the solve");
-
-    // The plain rung failed and the ladder escalated.
-    assert!(log.recovery_was_needed(), "{log}");
-    assert_eq!(log.attempts[0].stage, RecoveryStage::Plain);
-    assert!(!log.attempts[0].converged());
-    assert!(log.failed_attempts() >= 1);
-    // The final rung converged at full source value.
-    assert!(matches!(
-        log.succeeded_via(),
-        Some(RecoveryStage::SourceStepping { scale }) if (scale - 1.0).abs() < 1e-12
-    ));
-
-    // And the rescued solution matches the unconstrained solve. Nodes are
-    // created in order vdd, in, out → out is unknown index 2.
-    let v = c.dc_voltage(nout).expect("reference converges").as_volts();
-    assert!((x[2] - v).abs() < 1e-6, "{} vs {v}", x[2]);
+    // A 1 kV rail: damping moves a node at most 0.3 V per Newton
+    // iteration, and 400 iterations end near 120 V. The operating point
+    // and a transient that starts from it must both give up with an error,
+    // not a panic.
+    let mut c = Circuit::new();
+    let hv = c.node("hv");
+    c.voltage_source(
+        "V1",
+        hv,
+        Circuit::GROUND,
+        Waveform::dc(Voltage::from_volts(1_000.0)),
+    );
+    c.resistor("R1", hv, Circuit::GROUND, Resistance::from_kilo_ohms(1.0));
+    let err = no_panic("DC solve of a 1 kV rail", || c.dc_operating_point())
+        .expect_err("no single solve reaches 1 kV");
+    assert!(
+        matches!(err, SpiceError::NoConvergence { analysis: "dc", .. }),
+        "{err}"
+    );
+    let cfg = TransientConfig::new(Time::from_nanoseconds(1.0), Time::from_picoseconds(10.0));
+    let err = no_panic("transient from a 1 kV rail", || c.transient(&cfg))
+        .expect_err("the initial DC solve fails");
+    assert!(
+        matches!(err, SpiceError::NoConvergence { analysis: "dc", .. }),
+        "{err}"
+    );
 }
 
 #[test]
@@ -327,7 +297,7 @@ fn singular_topologies_fail_fast_with_a_structured_error() {
         Circuit::GROUND,
         Waveform::dc(Voltage::from_volts(2.0)),
     );
-    let err = no_panic("singular circuit", || c.dc_operating_point_recovered())
+    let err = no_panic("singular circuit", || c.dc_operating_point())
         .expect_err("conflicting ideal sources are singular");
     assert!(matches!(err, SpiceError::SingularMatrix { .. }), "{err}");
 }
@@ -523,51 +493,6 @@ fn interrupted_monte_carlo_resumes_byte_identically_from_its_journal() {
 }
 
 #[test]
-fn monte_carlo_results_ignore_solves_rescued_on_other_threads() {
-    // A sweep evaluates closed-form ratios and runs no SPICE, so a DC solve
-    // that another thread rescues while the sweep runs must not show in
-    // its result. The first sample waits for such a solve, so the solve
-    // lands inside the sweep.
-    struct SolveDuringSweep {
-        inner: TcdpMap,
-        solved: AtomicBool,
-        rescued: AtomicBool,
-    }
-    impl RatioSource for SolveDuringSweep {
-        fn tcdp_ratio(&self, sample: &UncertaintySample) -> f64 {
-            if !self.solved.swap(true, Ordering::Relaxed) {
-                let rescued = std::thread::scope(|scope| {
-                    scope
-                        .spawn(|| {
-                            let (c, _) = inverter_at_midrail();
-                            c.dc_operating_point_recovered_with(DcOptions::new().with_max_iter(5))
-                                .is_ok_and(|(_, log)| log.recovery_was_needed())
-                        })
-                        .join()
-                });
-                self.rescued
-                    .store(matches!(rescued, Ok(true)), Ordering::Relaxed);
-            }
-            self.inner.tcdp_ratio(sample)
-        }
-    }
-    let config = MonteCarloConfig::new(500, 31).expect("valid config");
-    let ranges = UncertaintyRanges::paper_default();
-    let source = SolveDuringSweep {
-        inner: paper_map(),
-        solved: AtomicBool::new(false),
-        rescued: AtomicBool::new(false),
-    };
-    let disturbed = sweep(&source, &ranges, &config).expect("disturbed sweep completes");
-    assert!(
-        source.rescued.load(Ordering::Relaxed),
-        "the starved solve must need the recovery ladder"
-    );
-    let quiet = sweep(&paper_map(), &ranges, &config).expect("quiet sweep completes");
-    assert_eq!(disturbed, quiet);
-}
-
-#[test]
 fn interrupted_raster_resumes_byte_identically_from_its_journal() {
     let path = scratch_journal("raster-resume");
     let _ = std::fs::remove_file(&path);
@@ -610,27 +535,6 @@ fn interrupted_raster_resumes_byte_identically_from_its_journal() {
         .expect("full replay completes");
     assert_eq!(bits(&reference), bits(&replayed));
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn solver_budget_exhaustion_surfaces_through_the_unified_taxonomy() {
-    let (c, _) = inverter_at_midrail();
-    // A zero-iteration budget exhausts before the first ladder rung.
-    let opts = DcOptions::new()
-        .with_max_iter(5)
-        .with_budget(ppatc_spice::SolverBudget::unlimited().with_max_newton_iterations(1));
-    let err = no_panic("ladder under an exhausted budget", || {
-        c.dc_operating_point_recovered_with(opts)
-    })
-    .expect_err("budget stops the ladder");
-    assert!(
-        matches!(err, SpiceError::SolverBudgetExceeded { .. }),
-        "{err}"
-    );
-    let unified: PpatcError = err.into();
-    assert!(matches!(unified, PpatcError::Spice(_)));
-    let msg = unified.to_string();
-    assert!(msg.contains("solver budget"), "{msg}");
 }
 
 // ---------------------------------------------------------------------------
