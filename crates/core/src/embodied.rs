@@ -2,11 +2,17 @@
 
 use crate::error::{check, ValidationError};
 use crate::system::SystemDesign;
-use ppatc_fab::{EmbodiedModel, Grid};
+use ppatc_fab::{EmbodiedBreakdown, EmbodiedModel, Grid};
+use ppatc_pdk::Technology;
 use ppatc_units::CarbonMass;
 use ppatc_wafer::WaferSpec;
 
 /// The embodied-carbon pipeline: process model + wafer geometry + fab grid.
+///
+/// Eq. 2's per-wafer carbon depends only on the technology, the process
+/// model and the fab grid, so each technology's breakdown is computed when
+/// the pipeline is built and again when the grid is replaced; only Eq. 5's
+/// dies per wafer and yield are evaluated per design.
 ///
 /// ```
 /// use ppatc::{EmbodiedPipeline, SystemDesign, Technology};
@@ -22,6 +28,9 @@ pub struct EmbodiedPipeline {
     model: EmbodiedModel,
     wafer: WaferSpec,
     fab_grid: Grid,
+    /// Eq. 2 of each technology under `model` on `fab_grid`, in
+    /// [`Technology::ALL`] order.
+    breakdowns: [EmbodiedBreakdown; 2],
     embodied_scale: f64,
 }
 
@@ -29,10 +38,13 @@ impl EmbodiedPipeline {
     /// The paper's configuration: calibrated step energies, 300 mm wafers
     /// with 0.1 mm scribe / 5 mm edge clearance, U.S. fabrication grid.
     pub fn paper_default() -> Self {
+        let model = EmbodiedModel::paper_default();
+        let fab_grid = ppatc_fab::grid::US;
         Self {
-            model: EmbodiedModel::paper_default(),
+            breakdowns: breakdowns(&model, fab_grid),
+            model,
             wafer: WaferSpec::paper_default(),
-            fab_grid: ppatc_fab::grid::US,
+            fab_grid,
             embodied_scale: 1.0,
         }
     }
@@ -41,6 +53,7 @@ impl EmbodiedPipeline {
     #[must_use]
     pub fn with_fab_grid(mut self, fab_grid: Grid) -> Self {
         self.fab_grid = fab_grid;
+        self.breakdowns = breakdowns(&self.model, fab_grid);
         self
     }
 
@@ -60,9 +73,10 @@ impl EmbodiedPipeline {
 
     /// Evaluates Eqs. 2–5 for a design.
     pub fn per_good_die(&self, design: &SystemDesign) -> EmbodiedPerDie {
-        let breakdown = self
-            .model
-            .embodied_per_wafer(design.technology(), self.fab_grid);
+        let breakdown = match design.technology() {
+            Technology::AllSi => &self.breakdowns[0],
+            Technology::M3dIgzoCnfetSi => &self.breakdowns[1],
+        };
         let per_wafer = breakdown.total() * self.embodied_scale;
         let die = design.die();
         let dies_per_wafer = self.wafer.dies_per_wafer(&die);
@@ -86,6 +100,11 @@ impl Default for EmbodiedPipeline {
     fn default() -> Self {
         Self::paper_default()
     }
+}
+
+/// Eq. 2 of every technology, in [`Technology::ALL`] order.
+fn breakdowns(model: &EmbodiedModel, fab_grid: Grid) -> [EmbodiedBreakdown; 2] {
+    Technology::ALL.map(|technology| model.embodied_per_wafer(technology, fab_grid))
 }
 
 /// Result of the embodied pipeline for one design.
@@ -122,7 +141,6 @@ impl EmbodiedPerDie {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Technology;
     use ppatc_units::{approx_eq, Frequency};
 
     fn designs() -> (SystemDesign, SystemDesign) {
@@ -175,6 +193,43 @@ mod tests {
             2.0 * base.per_good_die().as_grams(),
             1e-12
         ));
+    }
+
+    #[test]
+    fn stored_breakdowns_match_a_fresh_eq2_bit_for_bit() {
+        let (si, m3d) = designs();
+        let model = EmbodiedModel::paper_default();
+        for grid in ppatc_fab::grid::FIG2C_GRIDS {
+            for scale in [1.0, 2.0] {
+                let pipe = EmbodiedPipeline::paper_default()
+                    .with_fab_grid(grid)
+                    .try_with_embodied_scale(scale)
+                    .expect("valid factor");
+                for design in [&si, &m3d] {
+                    let got = pipe.per_good_die(design);
+                    let per_wafer =
+                        model.embodied_per_wafer(design.technology(), grid).total() * scale;
+                    let die = design.die();
+                    let per_good_die = ppatc_wafer::embodied_per_good_die(
+                        per_wafer,
+                        WaferSpec::paper_default().dies_per_wafer(&die),
+                        design.yield_model(),
+                        die.area(),
+                    );
+                    let what = format!("{} on {grid:?} at scale {scale}", design.technology());
+                    assert_eq!(
+                        got.per_wafer().as_grams().to_bits(),
+                        per_wafer.as_grams().to_bits(),
+                        "per wafer, {what}"
+                    );
+                    assert_eq!(
+                        got.per_good_die().as_grams().to_bits(),
+                        per_good_die.as_grams().to_bits(),
+                        "per good die, {what}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

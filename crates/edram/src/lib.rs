@@ -300,9 +300,11 @@ impl EdramMacro {
 }
 
 /// The process-wide characterization memo cache. A linear-scan `Vec` keyed
-/// by `(technology, organization)`: real sweeps touch at most a few dozen
-/// distinct macros, so a scan beats hashing and keeps `Organization` free
-/// of `Hash` obligations.
+/// by `(technology, organization)`, which keeps `Organization` free of
+/// `Hash` obligations. The scan stays cheap next to what it saves: an
+/// explore benchmark run stores up to about 13,000 macros, and with 8,000
+/// stored a hit that scans all of them took 9 µs against 0.9 ms for a
+/// characterization (release build, 2-vCPU host).
 type CharacterizationCache = Mutex<Vec<(Technology, Organization, EdramMacro)>>;
 
 static CHARACTERIZATION_CACHE: OnceLock<CharacterizationCache> = OnceLock::new();

@@ -20,11 +20,13 @@
 //! corruption, so recovery refuses rather than silently serving a spliced
 //! cache. On recovery the journal is compacted: entries are replayed
 //! through the same FIFO eviction the live cache uses, then the file is
-//! rewritten with only the survivors, so the journal stays proportional to
-//! the cache bound across any number of restarts. A restarted server
-//! answers previously cached queries from the recovered warm path
-//! byte-identically — the journal stores the exact response bytes the
-//! first evaluation rendered.
+//! rewritten with only the survivors. That is the only compaction: between
+//! restarts the journal grows by one line per fresh answer, whatever the
+//! cache has evicted since, and only the next start-up brings it back to
+//! the cache bound. Bounding it while the server runs is open work
+//! (ROADMAP.md, item 10). A restarted server answers previously cached
+//! queries from the recovered warm path byte-identically — the journal
+//! stores the exact response bytes the first evaluation rendered.
 
 use crate::admission::lock_unpoisoned;
 use crate::health::ServerHealth;
@@ -195,11 +197,11 @@ fn header_line(shards: usize, per_shard_capacity: usize) -> String {
 
 /// Lowercase hex of `bytes` (two digits per byte).
 fn hex_encode(bytes: &[u8]) -> String {
-    use std::fmt::Write as _;
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        // Writing into a String cannot fail.
-        let _ = write!(out, "{b:02x}");
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     out
 }
@@ -339,6 +341,15 @@ mod tests {
         assert_eq!(cache.len(), 1, "capacity clamps to 1");
         assert!(cache.get("b", &health).is_some());
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn hex_encode_equals_two_digit_formatting_for_every_byte() {
+        for b in 0..=u8::MAX {
+            assert_eq!(hex_encode(&[b]), format!("{b:02x}"), "byte {b}");
+        }
+        let all: Vec<u8> = (0..=u8::MAX).collect();
+        assert_eq!(hex_decode(&hex_encode(&all)), Some(all));
     }
 
     #[test]

@@ -34,6 +34,7 @@ use ppatc_pdk::SiVtFlavor;
 use ppatc_units::{CarbonIntensity, Frequency};
 use ppatc_workloads::{Workload, WorkloadRun};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Servable clock range, MHz. Designs outside it are rejected as invalid
@@ -435,6 +436,14 @@ fn memoized_run(name: &str) -> Result<Arc<WorkloadRun>, PpatcError> {
     Ok(run)
 }
 
+/// The paper's embodied pipeline, built once per process: no query
+/// parameter reaches Eq. 2's per-wafer carbon, so every answer reads the
+/// same two breakdowns.
+fn paper_pipeline() -> &'static EmbodiedPipeline {
+    static PIPELINE: OnceLock<EmbodiedPipeline> = OnceLock::new();
+    PIPELINE.get_or_init(EmbodiedPipeline::paper_default)
+}
+
 /// Maps a budget poll failure into [`PpatcError::Interrupted`] carrying
 /// the steps finished so far.
 fn step_checkpoint(budget: &RunBudget, done: usize) -> Result<(), PpatcError> {
@@ -473,7 +482,7 @@ fn build_study(
         CarbonIntensity::from_g_per_kwh(params.ci_g_per_kwh),
     )?;
     let lifetime = Lifetime::try_months(params.lifetime_months)?;
-    let study = CaseStudy::from_designs(si, m3d, &run, EmbodiedPipeline::paper_default(), usage);
+    let study = CaseStudy::from_designs(si, m3d, &run, paper_pipeline().clone(), usage);
     Ok((study, lifetime))
 }
 
@@ -495,40 +504,35 @@ pub fn try_evaluate(query: &Query, budget: &RunBudget) -> Result<String, PpatcEr
         Query::Eval(params) => {
             let (study, lifetime) = build_study(params, budget)?;
             let ratio = study.tcdp_ratio(lifetime);
+            let (si, m3d) = (Technology::AllSi, Technology::M3dIgzoCnfetSi);
             let mut body = String::new();
-            body.push_str(&format!("workload={}\n", params.workload));
-            body.push_str(&format!("f_clk_mhz={}\n", params.f_clk_mhz));
-            body.push_str(&format!("capacity_kb={}\n", params.capacity_kb));
-            body.push_str(&format!("ci_g_per_kwh={}\n", params.ci_g_per_kwh));
-            body.push_str(&format!("hours_per_day={}\n", params.hours_per_day));
-            body.push_str(&format!("lifetime_months={}\n", params.lifetime_months));
-            body.push_str(&format!("tcdp_ratio={ratio}\n"));
-            body.push_str(&format!("m3d_wins={}\n", u8::from(ratio < 1.0)));
-            body.push_str(&format!(
-                "area_si_mm2={}\n",
-                study
-                    .design(Technology::AllSi)
-                    .area()
-                    .as_square_millimeters()
-            ));
-            body.push_str(&format!(
-                "area_m3d_mm2={}\n",
-                study
-                    .design(Technology::M3dIgzoCnfetSi)
-                    .area()
-                    .as_square_millimeters()
-            ));
-            body.push_str(&format!(
-                "embodied_si_g={}\n",
-                study.embodied(Technology::AllSi).per_good_die().as_grams()
-            ));
-            body.push_str(&format!(
-                "embodied_m3d_g={}\n",
-                study
-                    .embodied(Technology::M3dIgzoCnfetSi)
-                    .per_good_die()
-                    .as_grams()
-            ));
+            // Writing into a String cannot fail.
+            let _ = write!(
+                body,
+                "workload={}\n\
+                 f_clk_mhz={}\n\
+                 capacity_kb={}\n\
+                 ci_g_per_kwh={}\n\
+                 hours_per_day={}\n\
+                 lifetime_months={}\n\
+                 tcdp_ratio={ratio}\n\
+                 m3d_wins={}\n\
+                 area_si_mm2={}\n\
+                 area_m3d_mm2={}\n\
+                 embodied_si_g={}\n\
+                 embodied_m3d_g={}\n",
+                params.workload,
+                params.f_clk_mhz,
+                params.capacity_kb,
+                params.ci_g_per_kwh,
+                params.hours_per_day,
+                params.lifetime_months,
+                u8::from(ratio < 1.0),
+                study.design(si).area().as_square_millimeters(),
+                study.design(m3d).area().as_square_millimeters(),
+                study.embodied(si).per_good_die().as_grams(),
+                study.embodied(m3d).per_good_die().as_grams(),
+            );
             Ok(body)
         }
         Query::MonteCarlo {
@@ -550,13 +554,23 @@ pub fn try_evaluate(query: &Query, budget: &RunBudget) -> Result<String, PpatcEr
                 &supervisor,
             )?;
             let mut body = String::new();
-            body.push_str(&format!("samples={}\n", result.samples));
-            body.push_str(&format!("evaluated={}\n", result.evaluated));
-            body.push_str(&format!("failed={}\n", result.failures.total()));
-            body.push_str(&format!("p_m3d_wins={}\n", result.p_m3d_wins));
-            body.push_str(&format!("ratio_p05={}\n", result.ratio_quantiles.0));
-            body.push_str(&format!("ratio_p50={}\n", result.ratio_quantiles.1));
-            body.push_str(&format!("ratio_p95={}\n", result.ratio_quantiles.2));
+            let _ = write!(
+                body,
+                "samples={}\n\
+                 evaluated={}\n\
+                 failed={}\n\
+                 p_m3d_wins={}\n\
+                 ratio_p05={}\n\
+                 ratio_p50={}\n\
+                 ratio_p95={}\n",
+                result.samples,
+                result.evaluated,
+                result.failures.total(),
+                result.p_m3d_wins,
+                result.ratio_quantiles.0,
+                result.ratio_quantiles.1,
+                result.ratio_quantiles.2,
+            );
             Ok(body)
         }
     }
@@ -695,6 +709,32 @@ mod tests {
             (ratio - expected).abs() < 1e-12,
             "served {ratio} vs direct {expected}"
         );
+    }
+
+    #[test]
+    fn served_bodies_match_their_pinned_bytes() {
+        // Every digit of both bodies: a change to the rendering or to any
+        // bit of the numbers behind it fails here.
+        for (line, pinned) in [
+            (
+                "eval",
+                "workload=matmul-int\nf_clk_mhz=500\ncapacity_kb=64\nci_g_per_kwh=380\n\
+                 hours_per_day=2\nlifetime_months=24\ntcdp_ratio=0.9705481961434618\n\
+                 m3d_wins=1\narea_si_mm2=0.1372966066108931\n\
+                 area_m3d_mm2=0.051325957522893116\nembodied_si_g=3.080279894771063\n\
+                 embodied_m3d_g=3.522925081096053\n",
+            ),
+            (
+                "mc samples=64 seed=7",
+                "samples=64\nevaluated=64\nfailed=0\np_m3d_wins=0.53125\n\
+                 ratio_p05=0.7376174255201341\nratio_p50=0.9778405657737758\n\
+                 ratio_p95=2.2734179015776186\n",
+            ),
+        ] {
+            let req = try_parse_request(line).expect("parses");
+            let body = try_evaluate(&req.query, &RunBudget::unlimited()).expect("evaluates");
+            assert_eq!(body, pinned, "{line}");
+        }
     }
 
     /// The same paper-point ratio computed directly against the core.

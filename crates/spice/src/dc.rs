@@ -3,8 +3,8 @@
 //! [`Circuit::dc_operating_point`] starts from all-zero unknowns, clamps
 //! each node-voltage update to 0.3 V per iteration, and reports a solve
 //! that has not settled within 400 iterations as
-//! [`SpiceError::NoConvergence`]. The transient loop and the DC sweep run
-//! the same solve at every time step and sweep point.
+//! [`SpiceError::NoConvergence`]. The transient loop runs the same solve
+//! at every time step.
 
 use crate::circuit::{Circuit, StampPlan};
 use crate::error::SpiceError;
@@ -13,8 +13,8 @@ use crate::solver::LinearSystem;
 /// Reusable per-topology solve state: the assembled MNA system (with its
 /// factorization workspace) and the compiled [`StampPlan`]. Built once per
 /// circuit topology by [`Circuit::newton_scratch`] and threaded through
-/// every Newton solve — across iterations, transient timesteps and
-/// DC-sweep points — so the hot path allocates nothing.
+/// every Newton solve — across iterations and transient timesteps — so
+/// the hot path allocates nothing.
 ///
 /// The scratch is only valid for the topology it was compiled from; any
 /// circuit edit (new element, node, or parameter) requires a fresh one.

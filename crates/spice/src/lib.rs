@@ -47,7 +47,6 @@ mod dc;
 mod error;
 mod measure;
 mod solver;
-mod sweep;
 mod transient;
 mod waveform;
 
@@ -55,6 +54,5 @@ pub use circuit::{Circuit, ElementId, NodeId};
 pub use dc::recovery_counters;
 pub use error::SpiceError;
 pub use measure::{Edge, Trace};
-pub use sweep::SweepResult;
 pub use transient::{Integration, TransientConfig};
 pub use waveform::Waveform;
